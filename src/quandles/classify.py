@@ -4,7 +4,7 @@ classification, and a small-order census."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import permutations as _permutations
 
 from .core import Permutation, Quandle, translations
@@ -86,25 +86,13 @@ class InvariantProfile:
     cyclic_type: bool
 
     def sort_key(self):
-        return (self.order, self.spectrum, self.cycle_types, self.orbit_sizes,
-                self.centralizer_sizes, self.involutory, self.abelian,
-                self.left_distributive, self.connected, self.cyclic_type)
+        return tuple(getattr(self, f.name) for f in fields(self))
 
 
 def invariant_profile(q: Quandle) -> InvariantProfile:
+    """The _STAGES values of q, one field per stage in the same order."""
     ensure_quandle(q)
-    return InvariantProfile(
-        order=q.order,
-        spectrum=_spectrum(q),
-        cycle_types=_cycle_types(q),
-        orbit_sizes=_orbit_sizes(q),
-        centralizer_sizes=_centralizer_sizes(q),
-        involutory=is_involutory(q),
-        abelian=is_abelian(q),
-        left_distributive=is_left_distributive(q),
-        connected=is_connected(q),
-        cyclic_type=_cyclic_type_flag(q),
-    )
+    return InvariantProfile(*(f(q) for _, f, _ in _STAGES))
 
 
 @dataclass(frozen=True)

@@ -131,8 +131,7 @@ def _print_report(report: AxiomReport) -> None:
 def _report_obj(report: AxiomReport) -> dict:
     return {
         "idempotency": {"ok": report.idempotency.ok,
-                        "witnesses": [list(w) if isinstance(w, tuple) else w
-                                      for w in report.idempotency.witnesses]},
+                        "witnesses": list(report.idempotency.witnesses)},
         "right_invertibility": {"ok": report.right_invertibility.ok,
                                 "witnesses": [list(w) for w in report.right_invertibility.witnesses]},
         "self_distributivity": {"ok": report.self_distributivity.ok,
@@ -232,7 +231,7 @@ def cmd_props(args) -> int:
         "abelian": props_mod.is_abelian(q),
         "left_distributive": props_mod.is_left_distributive(q),
         "connected": props_mod.is_connected(q),
-        "cyclic_type": props_mod.is_cyclic_type(q) if q.order >= 2 else False,
+        "cyclic_type": classify_mod._cyclic_type_flag(q),
     }
     witness, budget_note = _alexander_summary(q, args.alexander_budget)
     orbit_list = inner_mod.orbits(q)

@@ -8,10 +8,10 @@ though they fail the axioms; the five valid rules are enumerable and named.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from itertools import permutations as _permutations
+from dataclasses import dataclass, field, replace
 
 from . import properties
+from .classify import all_quandle_tables
 from .core import (
     DEFAULT_WITNESS_CAP,
     AxiomReport,
@@ -40,7 +40,7 @@ class PhaseRule:
             raise ValueError("phase table must be 3x3")
         for a, row in enumerate(self.f):
             for b, v in enumerate(row):
-                if v not in PHASES:
+                if type(v) is not int or v not in PHASES:
                     raise ValueError(f"phase entry {v!r} at ({a},{b}) out of range 0..2")
 
     def entry(self, a: int, b: int) -> int:
@@ -129,22 +129,20 @@ def _match_rule_name(f: tuple[tuple[int, ...], ...]) -> str | None:
     return None
 
 
+def _to_phases(verdict: AxiomVerdict) -> AxiomVerdict:
+    """Shift witnesses from the 1-based element coding to phases 0..2."""
+    return replace(verdict, witnesses=tuple(
+        tuple(v - 1 for v in w) if isinstance(w, tuple) else w - 1 for w in verdict.witnesses))
+
+
 def validate_rule(rule: PhaseRule, witness_cap: int | None = DEFAULT_WITNESS_CAP) -> AxiomReport:
     """Run the table axiom checker on (Z_3, f); witnesses come back in phase
     coordinates 0..2 rather than the 1-based element coding."""
     report = check_axioms(rule.to_quandle(), witness_cap=witness_cap)
-    return AxiomReport(
-        idempotency=AxiomVerdict(
-            report.idempotency.ok,
-            tuple(x - 1 for x in report.idempotency.witnesses)),
-        right_invertibility=AxiomVerdict(
-            report.right_invertibility.ok,
-            tuple((y - 1, x1 - 1, x2 - 1) for y, x1, x2 in report.right_invertibility.witnesses)),
-        self_distributivity=AxiomVerdict(
-            report.self_distributivity.ok,
-            tuple((x - 1, y - 1, z - 1) for x, y, z in report.self_distributivity.witnesses)),
-        witness_cap=report.witness_cap,
-    )
+    return replace(report,
+                   idempotency=_to_phases(report.idempotency),
+                   right_invertibility=_to_phases(report.right_invertibility),
+                   self_distributivity=_to_phases(report.self_distributivity))
 
 
 def is_valid_rule(rule: PhaseRule) -> bool:
@@ -152,34 +150,13 @@ def is_valid_rule(rule: PhaseRule) -> bool:
 
 
 def enumerate_phase_rules() -> tuple[PhaseRule, ...]:
-    """All phase rules that make (Z_3, f) a quandle, in lexicographic table order.
-
-    Constructive: idempotency and column bijectivity force each column b to be
-    a permutation of {0,1,2} fixing b, leaving 8 candidates to filter by
-    self-distributivity.
-    """
-    columns_for = {}
-    for b in PHASES:
-        rest = [v for v in PHASES if v != b]
-        cands = []
-        for perm in _permutations(rest):
-            col = [0, 0, 0]
-            col[b] = b
-            for pos, v in zip(rest, perm):
-                col[pos] = v
-            cands.append(tuple(col))
-        columns_for[b] = cands
-
-    found = []
-    for c0 in columns_for[0]:
-        for c1 in columns_for[1]:
-            for c2 in columns_for[2]:
-                f = tuple((c0[a], c1[a], c2[a]) for a in PHASES)
-                rule = PhaseRule(f, name=_match_rule_name(f))
-                if is_valid_rule(rule):
-                    found.append(rule)
-    found.sort(key=lambda r: r.f)
-    return tuple(found)
+    """All phase rules that make (Z_3, f) a quandle, in lexicographic table order:
+    the labeled order-3 quandles shifted from {1,2,3} to phases 0..2."""
+    rules = []
+    for q in all_quandle_tables(3):
+        f = tuple(tuple(v - 1 for v in row) for row in q.table)
+        rules.append(PhaseRule(f, name=_match_rule_name(f)))
+    return tuple(sorted(rules, key=lambda r: r.f))
 
 
 def pair_to_index(convention: Convention, n: int, x: int, a: int) -> int:
@@ -296,22 +273,6 @@ class TransferReport:
         return tuple(r for r in self.records if r.agrees is False)
 
 
-def _phase_summary(report: AxiomReport) -> str:
-    """Like AxiomReport.summary but worded in phase coordinates."""
-    if report.overall:
-        return "all axioms pass"
-    parts = []
-    if not report.idempotency.ok:
-        parts.append(f"idempotency fails at a={report.idempotency.witnesses[0]}")
-    if not report.right_invertibility.ok:
-        b, a1, a2 = report.right_invertibility.witnesses[0]
-        parts.append(f"right invertibility fails at column b={b} (rows a={a1},a={a2} collide)")
-    if not report.self_distributivity.ok:
-        a, b, c = report.self_distributivity.witnesses[0]
-        parts.append(f"self-distributivity fails at (a,b,c)=({a},{b},{c})")
-    return "; ".join(parts)
-
-
 def _alexander_flag(q: Quandle, budget: int) -> bool | None:
     try:
         return properties.alexander_recognize(q, max_order=budget) is not None
@@ -329,7 +290,7 @@ def audit_transfer(base: Quandle, rule: PhaseRule, convention: Convention = "xa"
     """
     rule_report = validate_rule(rule, witness_cap=1)
     if not rule_report.overall:
-        raise NotAQuandleError(f"phase rule fails axioms: {_phase_summary(rule_report)}")
+        raise NotAQuandleError(f"phase rule fails axioms: {rule_report.summary()}")
     base_report = check_axioms(base, witness_cap=1)
     if not base_report.overall:
         raise NotAQuandleError(f"base fails axioms: {base_report.summary()}")

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations as _permutations
+from operator import mul
 
 DEFAULT_WITNESS_CAP = 10
 
@@ -113,17 +114,7 @@ class Quandle:
     name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        n = self.order
-        if n < 1:
-            raise ValueError(f"order must be >= 1, got {n}")
-        if len(self.table) != n:
-            raise ValueError(f"shape mismatch: expected {n} rows, got {len(self.table)}")
-        for i, row in enumerate(self.table, start=1):
-            if len(row) != n:
-                raise ValueError(f"shape mismatch: row {i} has {len(row)} entries, expected {n}")
-            for j, v in enumerate(row, start=1):
-                if not isinstance(v, int) or not 1 <= v <= n:
-                    raise ValueError(f"entry {v!r} at row {i}, column {j} out of range 1..{n}")
+        _check_square(self.order, self.table)
 
     def __repr__(self) -> str:
         label = f", name={self.name!r}" if self.name else ""
@@ -134,6 +125,20 @@ class Quandle:
 
     def elements(self) -> range:
         return range(1, self.order + 1)
+
+
+def _check_square(n, table) -> None:
+    """Raise unless table is n rows of n ints in 1..n; a bool is not an int here."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"order must be >= 1, got {n!r}")
+    if len(table) != n:
+        raise ValueError(f"shape mismatch: expected {n} rows, got {len(table)}")
+    for i, row in enumerate(table, start=1):
+        if len(row) != n:
+            raise ValueError(f"shape mismatch: row {i} has {len(row)} entries, expected {n}")
+        for j, v in enumerate(row, start=1):
+            if type(v) is not int or not 1 <= v <= n:
+                raise ValueError(f"entry {v!r} at row {i}, column {j} out of range 1..{n}")
 
 
 def from_table(order, rows, name=None) -> Quandle:
@@ -243,7 +248,7 @@ def check_axioms(q: Quandle, witness_cap: int | None = DEFAULT_WITNESS_CAP) -> A
 
 
 def _check_element(q: Quandle, v: int, argname: str) -> None:
-    if not isinstance(v, int) or not 1 <= v <= q.order:
+    if type(v) is not int or not 1 <= v <= q.order:
         raise ValueError(f"{argname}={v!r} out of range 1..{q.order}")
 
 
@@ -257,19 +262,7 @@ def apply(q: Quandle, x: int, y: int) -> int:
 def dual_apply(q: Quandle, x: int, y: int) -> int:
     """The dual product x >^-1 y: the unique z with z > y = x."""
     _check_element(q, x, "x")
-    _check_element(q, y, "y")
-    z = None
-    seen = set()
-    for row in range(1, q.order + 1):
-        v = q.table[row - 1][y - 1]
-        if v in seen:
-            raise NotAQuandleError(
-                f"column {y} is not a bijection; run check_axioms for right-invertibility witnesses")
-        seen.add(v)
-        if v == x:
-            z = row
-    assert z is not None  # column is a bijection, so every value is hit
-    return z
+    return right_translation(q, y).inverse()(x)
 
 
 def right_translation(q: Quandle, y: int) -> Permutation:
@@ -296,15 +289,11 @@ def translations(q: Quandle) -> tuple[Permutation, ...]:
 
 def trivial(n: int) -> Quandle:
     """x > y = x for all x, y."""
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
     return Quandle(n, tuple((x,) * n for x in range(1, n + 1)), name=f"trivial({n})")
 
 
 def dihedral(n: int) -> Quandle:
     """x > y = 2y - x on Z_n, shifted to {1..n}."""
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
     rows = tuple(
         tuple((2 * (y - 1) - (x - 1)) % n + 1 for y in range(1, n + 1))
         for x in range(1, n + 1))
@@ -329,14 +318,7 @@ class GroupTable:
     def from_table(rows, name=None) -> "GroupTable":
         table = tuple(tuple(row) for row in rows)
         n = len(table)
-        if n < 1:
-            raise ValueError("group table must be non-empty")
-        for i, row in enumerate(table, start=1):
-            if len(row) != n:
-                raise ValueError(f"shape mismatch: row {i} has {len(row)} entries, expected {n}")
-            for j, v in enumerate(row, start=1):
-                if not isinstance(v, int) or not 1 <= v <= n:
-                    raise ValueError(f"entry {v!r} at row {i}, column {j} out of range 1..{n}")
+        _check_square(n, table)
         identity = None
         for e in range(1, n + 1):
             if all(table[e - 1][x - 1] == x and table[x - 1][e - 1] == x for x in range(1, n + 1)):
@@ -376,8 +358,6 @@ def conjugation(g: GroupTable) -> Quandle:
 
 
 def cyclic_group(n: int) -> GroupTable:
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
     rows = tuple(tuple((x + y - 2) % n + 1 for y in range(1, n + 1)) for x in range(1, n + 1))
     return GroupTable.from_table(rows, name=f"Z{n}")
 
@@ -521,20 +501,33 @@ def automorphism_from_images(group: AbelianGroupSpec, images) -> Permutation:
         if group.scale(f, img) != group.zero:
             raise ValueError(
                 f"image of generator {pos} has order not dividing {f}: not additive")
-    n = group.order
-    full = []
-    for i in range(1, n + 1):
-        acc = group.zero
-        for d, img in zip(group.tuple_of(i), images):
-            acc = group.add(acc, group.scale(d, img))
-        full.append(acc)
-    if sorted(full) != list(range(1, n + 1)):
+    full = _extender(group)(images)
+    if full is None:
         raise ValueError("generator images do not extend to a bijection")
-    return Permutation(tuple(full))
+    return Permutation(full)
+
+
+def _extender(group: AbelianGroupSpec):
+    """Return a function taking generator images (t(e_1), ..., t(e_k)) to the
+    image tuple of the additive map t, or to None when t is not a bijection.
+
+    Every element's digits are read once, here; an element with digits d maps
+    to index_of(sum_i d_i * g_i), summed digit by digit over the images' own
+    digits g_i (index_of reduces modulo each factor).
+    """
+    elements = [group.tuple_of(i) for i in range(1, group.order + 1)]
+    index_of, n = group.index_of, group.order
+
+    def extend(images) -> tuple[int, ...] | None:
+        slots = tuple(zip(*(group.tuple_of(g) for g in images)))  # slots[j][i]: digit j of g_i
+        full = tuple(index_of([sum(map(mul, d, s)) for s in slots]) for d in elements)
+        return full if len(set(full)) == n else None
+
+    return extend
 
 
 def _check_index(group: AbelianGroupSpec, i: int) -> None:
-    if not isinstance(i, int) or not 1 <= i <= group.order:
+    if type(i) is not int or not 1 <= i <= group.order:
         raise ValueError(f"element index {i!r} out of range 1..{group.order}")
 
 

@@ -13,11 +13,12 @@ from .core import (
     NotAQuandleError,
     Permutation,
     Quandle,
+    _check_element,
+    _extender,
     affine,
     automorphism_from_images,
     check_axioms,
     translations,
-    validate_automorphism,
 )
 from .inner import orbits
 
@@ -110,8 +111,7 @@ def conjugate_identities(q: Quandle) -> bool:
 
 def centralizer(q: Quandle, a: int) -> tuple[int, ...]:
     """All x with x>a = a>x, ascending."""
-    if not 1 <= a <= q.order:
-        raise ValueError(f"a={a!r} out of range 1..{q.order}")
+    _check_element(q, a, "a")
     t = q.table
     return tuple(x for x in range(1, q.order + 1) if t[x - 1][a - 1] == t[a - 1][x - 1])
 
@@ -142,26 +142,15 @@ def abelian_group_specs(n: int) -> tuple[AbelianGroupSpec, ...]:
 def enumerate_automorphisms(group: AbelianGroupSpec):
     """Yield (permutation, generator_images) for every automorphism, in
     lexicographic order of the image tuple."""
-    factors = group.cyclic_factors
-    n = group.order
-    if not factors:
-        yield Permutation.identity(1), ()
-        return
     candidates = [
-        tuple(g for g in range(1, n + 1) if group.scale(f, g) == group.zero)
-        for f in factors
+        tuple(g for g in range(1, group.order + 1) if group.scale(f, g) == group.zero)
+        for f in group.cyclic_factors
     ]
-    tuples = [group.tuple_of(i) for i in range(1, n + 1)]
+    extend = _extender(group)
     for images in _cartesian(*candidates):
-        full = []
-        for digits in tuples:
-            acc = group.zero
-            for d, img in zip(digits, images):
-                acc = group.add(acc, group.scale(d, img))
-            full.append(acc)
-        if sorted(full) != list(range(1, n + 1)):
-            continue
-        yield Permutation(tuple(full)), images
+        full = extend(images)
+        if full is not None:
+            yield Permutation(full), images
 
 
 @dataclass(frozen=True)
@@ -218,12 +207,6 @@ def alexander_recognize(q: Quandle, max_order: int = 15) -> AffineWitness | None
 
 def lemma_sum_check(group: AbelianGroupSpec, t: Permutation) -> bool:
     """Verify a>b + b>a = a + b over the affine structure, for all pairs."""
-    validate_automorphism(group, t)
-    n = group.order
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            ab = group.add(t(a), group.sub(b, t(b)))
-            ba = group.add(t(b), group.sub(a, t(a)))
-            if group.add(ab, ba) != group.add(a, b):
-                return False
-    return True
+    q = affine(group, t)
+    return all(group.add(q.entry(a, b), q.entry(b, a)) == group.add(a, b)
+               for a in q.elements() for b in q.elements())

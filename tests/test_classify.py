@@ -5,6 +5,7 @@ import pytest
 import quandles as Q
 
 from conftest import brute_isomorphic, relabel
+from quandles.classify import _STAGES
 
 
 class TestInvariantProfile:
@@ -32,6 +33,10 @@ class TestInvariantProfile:
 
     def test_format_spectrum(self):
         assert Q.format_spectrum(((1, 3), (2, 9))) == "{1:3,2:9}"
+
+    def test_sort_key_follows_the_stages(self):
+        for q in Q.census(4) + (Q.Q1, Q.Q2):
+            assert Q.invariant_profile(q).sort_key() == tuple(f(q) for _, f, _ in _STAGES)
 
 
 class TestAreIsomorphic:

@@ -51,12 +51,17 @@ class TestValidateRule:
         with pytest.raises(ValueError, match="out of range"):
             Q.rule_from_table([[0, 0, 3], [1, 1, 1], [2, 2, 2]])
 
+    def test_bool_phase_entry_rejected(self):
+        with pytest.raises(ValueError, match="phase entry True at \\(1,0\\)"):
+            Q.PhaseRule(((0, 0, 0), (True, True, True), (2, 2, 2)))
+
 
 class TestEnumeratePhaseRules:
     def test_exactly_five(self):
         rules = Q.enumerate_phase_rules()
         assert len(rules) == 5
         assert {r.name for r in rules} == {"trivial", "dihedral", "swap01", "swap02", "swap12"}
+        assert [r.f for r in rules] == sorted(r.f for r in rules)
 
     def test_three_isomorphism_classes(self):
         rules = Q.enumerate_phase_rules()
@@ -205,6 +210,18 @@ class TestAuditTransfer:
     def test_invalid_rule_rejected_with_report(self):
         with pytest.raises(Q.NotAQuandleError, match="phase rule"):
             Q.audit_transfer(Q.TABLE1, Q.literal_rule_A())
+        # witnesses are in phase coordinates 0..2
+        expected = {
+            Q.literal_rule_A(): "phase rule fails axioms: right invertibility fails at column"
+                                " y=2 (rows 0,2 collide); self-distributivity fails at"
+                                " (x,y,z)=(1,0,2)",
+            Q.literal_rule_B(): "phase rule fails axioms: idempotency fails at x=2; right"
+                                " invertibility fails at column y=2 (rows 1,2 collide)",
+        }
+        for rule, message in expected.items():
+            with pytest.raises(Q.NotAQuandleError) as err:
+                Q.audit_transfer(Q.TABLE1, rule)
+            assert str(err.value) == message
 
     def test_broken_base_rejected_with_report(self):
         broken = Q.from_table(2, [[1, 2], [1, 2]])

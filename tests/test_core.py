@@ -54,6 +54,14 @@ class TestFromTable:
         with pytest.raises(ValueError, match="row 1, column 2"):
             Q.from_table(2, [[1, 3], [1, 2]])
 
+    def test_bool_entry_rejected(self):
+        with pytest.raises(ValueError, match="entry True at row 1, column 1"):
+            Q.from_table(2, [[True, True], [2, 2]])
+
+    def test_bool_order_rejected(self):
+        with pytest.raises(ValueError, match="order"):
+            Q.Quandle(True, ((1,),))
+
 
 class TestCheckAxioms:
     def test_reference_table_passes(self):
@@ -118,6 +126,12 @@ class TestApplyAndDual:
             Q.apply(Q.TABLE1, 0, 1)
         with pytest.raises(ValueError, match="out of range"):
             Q.apply(Q.TABLE1, 1, 5)
+
+    def test_bool_element_rejected(self):
+        with pytest.raises(ValueError, match="x=True out of range"):
+            Q.apply(Q.TABLE1, True, 2)
+        with pytest.raises(ValueError, match="y=False out of range"):
+            Q.dual_apply(Q.TABLE1, 1, False)
 
     def test_dual_reference_cell(self):
         assert Q.dual_apply(Q.Q1, 10, 4) == 7  # since 7 > 4 = 10
@@ -193,6 +207,17 @@ class TestGroupTable:
     def test_rejects_missing_identity(self):
         with pytest.raises(ValueError, match="identity"):
             Q.GroupTable.from_table([[1, 1], [2, 2]])
+
+    def test_rejects_bool_entry(self):
+        with pytest.raises(ValueError, match="entry True at row 1, column 1"):
+            Q.GroupTable.from_table([[True]])
+
+    def test_rejects_empty_table_like_the_families(self):
+        with pytest.raises(ValueError, match="order must be >= 1, got 0"):
+            Q.GroupTable.from_table([])
+        for family in (Q.trivial, Q.dihedral, Q.cyclic_group):
+            with pytest.raises(ValueError, match="order must be >= 1, got 0"):
+                family(0)
 
     def test_symmetric_group_order(self):
         assert Q.symmetric_group(3).order == 6
@@ -291,3 +316,13 @@ class TestAffine:
         good = Q.automorphism_from_images(
             g, (g.index_of((1, 0)), g.index_of((0, 1))))
         assert good.is_identity()
+
+    def test_generator_images_not_bijective(self):
+        g = Q.AbelianGroupSpec((2, 4))
+        # both images lie in the subgroup generated by (0, 1)
+        with pytest.raises(ValueError, match="do not extend to a bijection"):
+            Q.automorphism_from_images(g, (g.index_of((0, 2)), g.index_of((0, 1))))
+
+    def test_bool_generator_image_rejected(self):
+        with pytest.raises(ValueError, match="element index True out of range"):
+            Q.automorphism_from_images(Q.AbelianGroupSpec((3,)), (True,))

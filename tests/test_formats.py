@@ -1,6 +1,7 @@
 import pytest
 
 import quandles as Q
+from quandles.cli import main
 from quandles.formats import TableFormatError
 
 
@@ -67,6 +68,25 @@ class TestTableJson:
     def test_bad_shape_reported(self):
         with pytest.raises(TableFormatError, match="shape"):
             Q.parse_table_json('{"order": 2, "table": [[1, 2]]}')
+
+    def test_bool_order_rejected(self):
+        with pytest.raises(TableFormatError, match="order"):
+            Q.parse_table_json('{"order": true, "table": [[1]]}')
+
+    def test_bool_entries_rejected(self):
+        with pytest.raises(TableFormatError, match="entry True at row 1, column 1"):
+            Q.parse_table_json(BOOL_ENTRIES)
+
+    def test_cli_check_on_bool_entries_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bools.json"
+        path.write_text(BOOL_ENTRIES)
+        assert main(["check", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "entry True" in out.err
+
+
+BOOL_ENTRIES = '{"order": 2, "table": [[true, true], [2, 2]]}'
 
 
 class TestPhaseText:

@@ -1,4 +1,5 @@
 import math
+from itertools import permutations
 
 import pytest
 
@@ -125,6 +126,11 @@ class TestCentralizer:
         with pytest.raises(ValueError):
             Q.centralizer(Q.trivial(3), 4)
 
+    @pytest.mark.parametrize("a", [True, "x", 1.0])
+    def test_non_int_rejected(self, a):
+        with pytest.raises(ValueError, match="out of range"):
+            Q.centralizer(Q.trivial(3), a)
+
 
 class TestAbelianGroupSpecs:
     def test_order_8_has_three_classes(self):
@@ -153,6 +159,24 @@ class TestEnumerateAutomorphisms:
         g = Q.AbelianGroupSpec((2, 4))
         for t, images in Q.enumerate_automorphisms(g):
             assert Q.automorphism_from_images(g, images) == t
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_brute_force_automorphisms(self, n):
+        """Oracle: every bijection fixing the zero that validate_automorphism accepts."""
+        for g in Q.abelian_group_specs(n):
+            listed = list(Q.enumerate_automorphisms(g))
+            images = [imgs for _, imgs in listed]
+            assert images == sorted(images), g.cyclic_factors
+            brute = set()
+            for rest in permutations(range(2, n + 1)):
+                t = Q.Permutation((1,) + rest)
+                try:
+                    Q.validate_automorphism(g, t)
+                except ValueError:
+                    continue
+                brute.add(t)
+            assert len(listed) == len(brute), g.cyclic_factors
+            assert {t for t, _ in listed} == brute, g.cyclic_factors
 
 
 class TestAlexanderRecognize:
