@@ -123,7 +123,7 @@ def _search_isomorphism(q1: Quandle, q2: Quandle) -> Permutation | None:
     Seeds are assigned rarest cycle type first; candidate images share the
     translation cycle type and are tried in ascending element order. Each
     assignment is closed under the table operation, so conflicts surface
-    early.
+    early. A mapping found is re-verified against both tables.
     """
     n = q1.order
     t1, t2 = q1.table, q2.table
@@ -189,7 +189,10 @@ def _search_isomorphism(q1: Quandle, q2: Quandle) -> Permutation | None:
 
     if not extend():
         return None
-    return Permutation(tuple(phi[1:]))
+    mapping = Permutation(tuple(phi[1:]))
+    if not _is_homomorphism(q1, q2, mapping):
+        raise AssertionError("search returned a non-homomorphism")  # pragma: no cover
+    return mapping
 
 
 def are_isomorphic(q1: Quandle, q2: Quandle) -> IsoResult:
@@ -209,8 +212,6 @@ def are_isomorphic(q1: Quandle, q2: Quandle) -> IsoResult:
     mapping = _search_isomorphism(q1, q2)
     if mapping is None:
         return IsoResult(False, certificate="exhausted search")
-    if not _is_homomorphism(q1, q2, mapping):
-        raise AssertionError("search returned a non-homomorphism")  # pragma: no cover
     return IsoResult(True, mapping=mapping)
 
 
@@ -223,26 +224,27 @@ class IsoClass:
 def classify_family(qs) -> tuple[IsoClass, ...]:
     """Partition the inputs into isomorphism classes.
 
-    Members are input positions (0-based). The representative of a class is
-    its lexicographically least table; classes are sorted by (profile key,
-    representative table), so the output is stable under permuting the input.
+    Each input's invariant profile is computed once, and an input is searched
+    only against the first member of each class with an equal profile. Members
+    are input positions (0-based); a class's representative is its least
+    table; classes are sorted by (profile key, representative table), so the
+    output is stable under permuting the input.
     """
     qs = list(qs)
-    groups: list[tuple[Quandle, list[int]]] = []
+    profiles = [invariant_profile(q) for q in qs]
+    buckets: dict[InvariantProfile, list[list[int]]] = {}
     for i, q in enumerate(qs):
-        ensure_quandle(q)
-        for first, members in groups:
-            if are_isomorphic(first, q).isomorphic:
+        bucket = buckets.setdefault(profiles[i], [])
+        for members in bucket:
+            if _search_isomorphism(qs[members[0]], q) is not None:
                 members.append(i)
                 break
         else:
-            groups.append((q, [i]))
-    classes = []
-    for _, members in groups:
-        rep = min((qs[i] for i in members), key=lambda q: q.table)
-        classes.append(IsoClass(representative=rep, members=tuple(members)))
-    classes.sort(key=lambda c: (invariant_profile(c.representative).sort_key(),
-                                c.representative.table))
+            bucket.append([i])
+    classes = [IsoClass(representative=min((qs[i] for i in m), key=lambda q: q.table),
+                        members=tuple(m))
+               for bucket in buckets.values() for m in bucket]
+    classes.sort(key=lambda c: (profiles[c.members[0]].sort_key(), c.representative.table))
     return tuple(classes)
 
 

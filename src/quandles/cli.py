@@ -178,12 +178,13 @@ def cmd_construct(args) -> int:
 def cmd_inn(args) -> int:
     q = _load_quandle(args.input)
     structure = inner_mod.inner_structure(q)
-    group = None
-    group_error = None
+    group = group_error = None
     try:
         group = inner_mod.inn_group(q)
     except BudgetExceededError as err:
         group_error = str(err)
+    else:
+        counts = Counter(p.order() for p in group.elements)
     if args.format == "json":
         obj = {
             "order": q.order,
@@ -195,7 +196,6 @@ def cmd_inn(args) -> int:
             "count_of_order": {str(k): v for k, v in structure.count_of_order.items()},
         }
         if group is not None:
-            counts = Counter(p.order() for p in group.elements)
             obj["group"] = {"order": group.order,
                             "count_of_order": {str(k): counts[k] for k in sorted(counts)}}
         else:
@@ -207,7 +207,6 @@ def cmd_inn(args) -> int:
         for k, v in structure.count_of_order.items():
             print(f"order {k}: {v}")
         if group is not None:
-            counts = Counter(p.order() for p in group.elements)
             spectrum = ", ".join(f"{k}: {counts[k]}" for k in sorted(counts))
             print(f"inner group order: {group.order}")
             print(f"inner group element orders: {spectrum}")

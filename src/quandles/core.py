@@ -33,7 +33,9 @@ class Permutation:
 
     def __post_init__(self):
         n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
+        ordered = sorted(self.images)
+        # once the values are 1..n, only the one equal to 1 can be a bool (True)
+        if ordered != list(range(1, n + 1)) or (n and type(ordered[0]) is not int):
             raise ValueError(f"not a bijection on 1..{n}: {self.images}")
 
     @staticmethod
@@ -127,10 +129,14 @@ class Quandle:
         return range(1, self.order + 1)
 
 
+def _check_order(n, what: str = "order") -> None:
+    if type(n) is not int or n < 1:
+        raise ValueError(f"{what} must be >= 1, got {n!r}")
+
+
 def _check_square(n, table) -> None:
     """Raise unless table is n rows of n ints in 1..n; a bool is not an int here."""
-    if type(n) is not int or n < 1:
-        raise ValueError(f"order must be >= 1, got {n!r}")
+    _check_order(n)
     if len(table) != n:
         raise ValueError(f"shape mismatch: expected {n} rows, got {len(table)}")
     for i, row in enumerate(table, start=1):
@@ -166,16 +172,6 @@ class AxiomReport:
     def overall(self) -> bool:
         return (self.idempotency.ok and self.right_invertibility.ok
                 and self.self_distributivity.ok)
-
-    def failures(self) -> tuple[str, ...]:
-        out = []
-        if not self.idempotency.ok:
-            out.append("idempotency")
-        if not self.right_invertibility.ok:
-            out.append("right invertibility")
-        if not self.self_distributivity.ok:
-            out.append("self-distributivity")
-        return tuple(out)
 
     def summary(self) -> str:
         if self.overall:
@@ -358,14 +354,14 @@ def conjugation(g: GroupTable) -> Quandle:
 
 
 def cyclic_group(n: int) -> GroupTable:
+    _check_order(n)
     rows = tuple(tuple((x + y - 2) % n + 1 for y in range(1, n + 1)) for x in range(1, n + 1))
     return GroupTable.from_table(rows, name=f"Z{n}")
 
 
 def symmetric_group(m: int) -> GroupTable:
     """S_m on m letters; elements ordered lexicographically by image tuple. Desk scale only."""
-    if m < 1:
-        raise ValueError(f"degree must be >= 1, got {m}")
+    _check_order(m, "degree")
     elems = sorted(_permutations(range(1, m + 1)))
     index = {p: i + 1 for i, p in enumerate(elems)}
     rows = tuple(
@@ -376,8 +372,7 @@ def symmetric_group(m: int) -> GroupTable:
 
 def dihedral_group(m: int) -> GroupTable:
     """D_m of order 2m: pairs (rotation a, flip b) with index b*m + a + 1."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _check_order(m, "m")
 
     def idx(a, b):
         return b * m + a + 1
@@ -463,15 +458,6 @@ class AbelianGroupSpec:
 
     def scale(self, k: int, i: int) -> int:
         return self.index_of(tuple(k * x for x in self.tuple_of(i)))
-
-    def generator_indices(self) -> tuple[int, ...]:
-        """Indices of the canonical generators e_1..e_k (1 in one slot, 0 elsewhere)."""
-        out = []
-        for pos in range(len(self.cyclic_factors)):
-            digits = [0] * len(self.cyclic_factors)
-            digits[pos] = 1
-            out.append(self.index_of(tuple(digits)))
-        return tuple(out)
 
 
 def validate_automorphism(group: AbelianGroupSpec, t: Permutation) -> None:

@@ -82,6 +82,24 @@ def relabel(q, sigma):
     return Q.Quandle(n, rows)
 
 
+def medial_by_scan(q):
+    """The medial identity (w>x)>(y>z) = (w>y)>(x>z) over all 4-tuples."""
+    t = q.table
+    r = range(q.order)
+    for w in r:
+        rw = t[w]
+        for x in r:
+            a_row = t[rw[x] - 1]
+            rx = t[x]
+            for y in r:
+                c_row = t[rw[y] - 1]
+                ry = t[y]
+                for z in r:
+                    if a_row[ry[z] - 1] != c_row[rx[z] - 1]:
+                        return False
+    return True
+
+
 def brute_isomorphic(q1, q2):
     """All-bijections oracle, independent of the backtracking search."""
     if q1.order != q2.order:

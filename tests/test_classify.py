@@ -5,7 +5,26 @@ import pytest
 import quandles as Q
 
 from conftest import brute_isomorphic, relabel
+import quandles.classify as classify_mod
 from quandles.classify import _STAGES
+
+
+def classify_pairwise(qs):
+    """The former classify_family: each input against the first member of
+    every class so far through are_isomorphic, then sorted by profile."""
+    groups = []
+    for i, q in enumerate(qs):
+        for members in groups:
+            if Q.are_isomorphic(qs[members[0]], q).isomorphic:
+                members.append(i)
+                break
+        else:
+            groups.append([i])
+    classes = [Q.IsoClass(representative=min((qs[i] for i in m), key=lambda q: q.table),
+                          members=tuple(m)) for m in groups]
+    classes.sort(key=lambda c: (Q.invariant_profile(c.representative).sort_key(),
+                                c.representative.table))
+    return tuple(classes)
 
 
 class TestInvariantProfile:
@@ -106,6 +125,25 @@ class TestClassifyFamily:
         assert len(forward) == len(backward) == 3
         assert [c.representative for c in forward] == [c.representative for c in backward]
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_pairwise_oracle_on_labeled_tables(self, n):
+        tables = Q.all_quandle_tables(n)
+        assert Q.classify_family(tables) == classify_pairwise(tables)
+
+    def test_profile_computed_once_per_input(self, monkeypatch):
+        seen = []
+        real = classify_mod.invariant_profile
+        monkeypatch.setattr(classify_mod, "invariant_profile", lambda q: seen.append(q) or real(q))
+        monkeypatch.setattr(classify_mod, "are_isomorphic", None)
+        tables = Q.all_quandle_tables(4)
+        classify_mod.classify_family(tables)
+        assert seen == list(tables)
+
+    def test_first_non_quandle_raises(self):
+        broken = Q.from_table(2, [[1, 2], [1, 2]], name="broken")
+        with pytest.raises(Q.NotAQuandleError, match="table broken fails axioms"):
+            Q.classify_family([Q.trivial(2), broken, Q.from_table(2, [[2, 2], [1, 1]])])
+
 
 class TestCensus:
     def test_counts(self):
@@ -114,18 +152,20 @@ class TestCensus:
         assert len(Q.census(3)) == 3
 
     def test_order_4_against_labeled_oracle(self):
-        # independent class count: brute-force partition of every labeled table
+        # independent partition: brute-force classes of every labeled table
         labeled = Q.all_quandle_tables(4)
         assert len(labeled) == 36
         classes = []
-        for q in labeled:
+        for i, q in enumerate(labeled):
             for cls in classes:
-                if brute_isomorphic(cls[0], q):
-                    cls.append(q)
+                if brute_isomorphic(labeled[cls[0]], q):
+                    cls.append(i)
                     break
             else:
-                classes.append([q])
+                classes.append([i])
         assert len(Q.census(4)) == len(classes) == 7
+        members = [c.members for c in Q.classify_family(labeled)]
+        assert sorted(members) == sorted(tuple(c) for c in classes)
 
     def test_labeled_count_order_3(self):
         assert len(Q.all_quandle_tables(3)) == 5

@@ -8,6 +8,11 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Q.Permutation((1, 1, 3))
 
+    @pytest.mark.parametrize("images", [(True,), (2, True), (True, 3, 2)])
+    def test_rejects_bool_entry(self, images):
+        with pytest.raises(ValueError, match="not a bijection"):
+            Q.Permutation(images)
+
     def test_cycles_canonical(self):
         p = Q.Permutation((1, 3, 2, 5, 4, 6))
         assert p.cycles() == ((2, 3), (4, 5))
@@ -218,6 +223,12 @@ class TestGroupTable:
         for family in (Q.trivial, Q.dihedral, Q.cyclic_group):
             with pytest.raises(ValueError, match="order must be >= 1, got 0"):
                 family(0)
+
+    @pytest.mark.parametrize("family, what", [
+        (Q.cyclic_group, "order"), (Q.symmetric_group, "degree"), (Q.dihedral_group, "m")])
+    def test_bool_size_rejected(self, family, what):
+        with pytest.raises(ValueError, match=f"{what} must be >= 1, got True"):
+            family(True)
 
     def test_symmetric_group_order(self):
         assert Q.symmetric_group(3).order == 6

@@ -1,9 +1,12 @@
 import math
+import random
 from itertools import permutations
 
 import pytest
 
 import quandles as Q
+
+from conftest import medial_by_scan, relabel
 
 
 def involutory_by_scan(q):
@@ -43,6 +46,26 @@ class TestAbelian:
 
     def test_conj_s3_is_not(self, battery):
         assert not Q.is_abelian(battery["conj_s3"])
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_agrees_with_scan_on_every_labeled_table(self, n):
+        for q in Q.all_quandle_tables(n):
+            assert Q.is_abelian(q) == medial_by_scan(q), q.table
+
+    def test_agrees_with_scan_on_relabeled_census(self):
+        rng = random.Random(5)
+        for q in Q.census(5):
+            for _ in range(3):
+                images = list(q.elements())
+                rng.shuffle(images)
+                r = relabel(q, Q.Permutation(tuple(images)))
+                assert Q.is_abelian(r) == medial_by_scan(r) == medial_by_scan(q), r.table
+
+    def test_agrees_with_scan_on_named_tables(self):
+        named = [Q.dihedral(n) for n in range(6, 13)]
+        named += [Q.conjugation(Q.symmetric_group(4)), Q.Q1, Q.Q2]
+        for q in named:
+            assert Q.is_abelian(q) == medial_by_scan(q), q.name
 
 
 class TestLeftDistributive:
@@ -143,6 +166,11 @@ class TestAbelianGroupSpecs:
 
     def test_order_1(self):
         assert [s.cyclic_factors for s in Q.abelian_group_specs(1)] == [()]
+
+    @pytest.mark.parametrize("n", [0, True])
+    def test_bad_order_rejected(self, n):
+        with pytest.raises(ValueError, match=f"order must be >= 1, got {n}"):
+            Q.abelian_group_specs(n)
 
 
 class TestEnumerateAutomorphisms:
