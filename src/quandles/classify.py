@@ -171,24 +171,28 @@ def _search_isomorphism(q1: Quandle, q2: Quandle) -> Permutation | None:
             used[phi[e]] = False
             phi[e] = 0
 
-    def extend() -> bool:
-        x = next((e for e in seed_order if phi[e] == 0), None)
-        if x is None:
-            return True
-        for u in buckets[type1[x]]:
-            if used[u]:
-                continue
+    # Depth first on a stack of (bucket position of a seed's image, rollback mark).
+    # A rollback restores the state in which that seed was the first free one.
+    stack: list[tuple[int, int]] = []
+    pos = 0
+    while (x := next((e for e in seed_order if phi[e] == 0), None)) is not None:
+        bucket = buckets[type1[x]]
+        while pos < len(bucket) and used[bucket[pos]]:
+            pos += 1
+        if pos < len(bucket):
             mark = len(assigned)
-            phi[x] = u
-            used[u] = True
+            phi[x], used[bucket[pos]] = bucket[pos], True
             assigned.append(x)
-            if propagate(mark) and extend():
-                return True
-            rollback(mark)
-        return False
+            stack.append((pos, mark))
+            if propagate(mark):
+                pos = 0
+                continue
+        if not stack:
+            return None
+        pos, mark = stack.pop()
+        rollback(mark)
+        pos += 1
 
-    if not extend():
-        return None
     mapping = Permutation(tuple(phi[1:]))
     if not _is_homomorphism(q1, q2, mapping):
         raise AssertionError("search returned a non-homomorphism")  # pragma: no cover

@@ -19,6 +19,7 @@ from .core import (
     BudgetExceededError,
     NotAQuandleError,
     Quandle,
+    _check_order,
     check_axioms,
 )
 
@@ -288,6 +289,7 @@ def audit_transfer(base: Quandle, rule: PhaseRule, convention: Convention = "xa"
     Raises when the rule or base fails the axioms; the report in the error
     message replaces the audit in that case.
     """
+    _check_order(alexander_budget, "alexander_budget")
     rule_report = validate_rule(rule, witness_cap=1)
     if not rule_report.overall:
         raise NotAQuandleError(f"phase rule fails axioms: {rule_report.summary()}")

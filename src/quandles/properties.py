@@ -3,6 +3,8 @@ connectivity, cyclic type, affine recognition, and centralizers."""
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _cartesian
@@ -43,6 +45,13 @@ def is_involutory(q: Quandle) -> bool:
     return all(p.order() <= 2 for p in translations(q))
 
 
+def _displacements(q: Quandle) -> list[tuple[int, ...]]:
+    """The distinct g_x = R_x R_1^-1, generating Dis(q), as 0-based image tuples."""
+    cols = [[v - 1 for v in col] for col in zip(*q.table)]  # cols[y][x]: R_{y+1}(x+1) - 1
+    r1_inv = sorted(range(q.order), key=cols[0].__getitem__)  # argsort inverts R_1
+    return list(dict.fromkeys(tuple(map(col.__getitem__, r1_inv)) for col in cols))
+
+
 def is_abelian(q: Quandle) -> bool:
     """The medial identity (w>x)>(y>z) = (w>y)>(x>z), decided as "the
     displacement group is abelian": the maps g_x = R_x R_1^-1 commute pairwise.
@@ -51,9 +60,7 @@ def is_abelian(q: Quandle) -> bool:
     (Jedlicka et al., "The structure of medial quandles", J. Algebra 2015).
     """
     ensure_quandle(q)
-    cols = [[v - 1 for v in col] for col in zip(*q.table)]  # cols[y][x]: R_{y+1}(x+1) - 1
-    r1_inv = sorted(range(q.order), key=cols[0].__getitem__)  # argsort inverts R_1
-    gens = list({tuple(map(col.__getitem__, r1_inv)) for col in cols})
+    gens = _displacements(q)
     return all(list(map(a.__getitem__, b)) == list(map(b.__getitem__, a))
                for i, a in enumerate(gens) for b in gens[i + 1:])
 
@@ -94,15 +101,9 @@ def is_cyclic_type(q: Quandle) -> bool:
 
 
 def conjugate_identities(q: Quandle) -> bool:
-    """The dual-operation inverse laws (x>y) >^-1 y = x = (x >^-1 y) > y, all pairs."""
+    """The dual-operation inverse laws (x>y) >^-1 y = x = (x >^-1 y) > y, all pairs.
+    Both say R_y^-1 inverts R_y, so the bijective columns ensure_quandle checks imply them."""
     ensure_quandle(q)
-    t = q.table
-    n = q.order
-    for y in range(1, n + 1):
-        inv = translations(q)[y - 1].inverse()
-        for x in range(1, n + 1):
-            if inv(t[x - 1][y - 1]) != x or t[inv(x) - 1][y - 1] != x:
-                return False
     return True
 
 
@@ -180,20 +181,38 @@ class AffineWitness:
 def alexander_recognize(q: Quandle, max_order: int = 15) -> AffineWitness | None:
     """Search for an affine presentation of q over some abelian group.
 
-    Brute force over every abelian group of order n and every automorphism,
-    with an isomorphism test per candidate; the first witness in (group chain,
-    generator images) lexicographic order wins. Returns None when the search
-    exhausts; raises BudgetExceededError when n exceeds max_order, which is
-    distinct from a negative answer.
+    The first candidate in (group chain, generator images) order that
+    are_isomorphic accepts wins; those that cannot match are skipped. Aff(A, t)
+    is medial and its translations T_y t T_y^-1 have t's cycle type, so a
+    non-medial q, or one whose translations have two cycle types, is not affine,
+    and only t of q's cycle type are tried. A connected q is affine iff medial,
+    with A isomorphic to Dis(q) = <R_x R_1^-1> (Hulpke, Stanovsky, Vojtechovsky,
+    JPAA 2016; Jedlicka, Pilitowska, Stanovsky, Zamojska-Dzienio, J. Algebra
+    2015), so only the chain with Dis(q)'s element-order counts is searched.
+    Returns None when none matches; raises BudgetExceededError when n exceeds
+    max_order, which is distinct from a negative answer.
     """
     from .classify import are_isomorphic  # import here: classify uses these predicates
 
+    _check_order(max_order, "max_order")
     ensure_quandle(q)
     if q.order > max_order:
         raise BudgetExceededError(
             f"affine recognition capped at order {max_order}, got {q.order}")
-    for group in abelian_group_specs(q.order):
+    cycle_types = {p.cycle_type() for p in translations(q)}
+    if not is_abelian(q) or len(cycle_types) > 1:
+        return None
+    groups = abelian_group_specs(q.order)
+    gens = _displacements(q)
+    if len({g[0] for g in gens}) == q.order:  # Dis(q) is transitive, so regular: gens is all of it
+        dis_counts = Counter(Permutation(tuple(v + 1 for v in g)).order() for g in gens)
+        groups = [g for g in groups if dis_counts == Counter(
+            math.lcm(*(f // math.gcd(d, f) for d, f in zip(g.tuple_of(i), g.cyclic_factors)))
+            for i in range(1, q.order + 1))]
+    for group in groups:
         for t, images in enumerate_automorphisms(group):
+            if t.cycle_type() not in cycle_types:
+                continue
             result = are_isomorphic(q, affine(group, t))
             if result.isomorphic:
                 return AffineWitness(group=group, generator_images=images,

@@ -1,3 +1,4 @@
+from functools import cache
 from itertools import permutations
 
 import pytest
@@ -100,6 +101,14 @@ def medial_by_scan(q):
     return True
 
 
+def is_isomorphism(q1, q2, phi):
+    """Check a mapping cell by cell: a bijection with phi(x>y) = phi(x)>phi(y)."""
+    n = q1.order
+    return (q2.order == n and sorted(phi.images) == list(range(1, n + 1))
+            and all(phi(q1.entry(x, y)) == q2.entry(phi(x), phi(y))
+                    for x in range(1, n + 1) for y in range(1, n + 1)))
+
+
 def brute_isomorphic(q1, q2):
     """All-bijections oracle, independent of the backtracking search."""
     if q1.order != q2.order:
@@ -110,3 +119,45 @@ def brute_isomorphic(q1, q2):
                for x in range(1, n + 1) for y in range(1, n + 1)):
             return True
     return False
+
+
+def conjugate_identities_by_scan(q):
+    """The dual-operation inverse laws (x>y) >^-1 y = x = (x >^-1 y) > y, all pairs."""
+    Q.ensure_quandle(q)
+    t = q.table
+    n = q.order
+    for y in range(1, n + 1):
+        inv = Q.translations(q)[y - 1].inverse()
+        for x in range(1, n + 1):
+            if inv(t[x - 1][y - 1]) != x or t[inv(x) - 1][y - 1] != x:
+                return False
+    return True
+
+
+_affine = cache(Q.affine)
+
+
+def alexander_by_scan(q, max_order=15):
+    """Search for an affine presentation of q over some abelian group.
+
+    Brute force over every abelian group of order n and every automorphism,
+    with an isomorphism test per candidate; the first witness in (group chain,
+    generator images) lexicographic order wins. Returns None when the search
+    exhausts; raises BudgetExceededError when n exceeds max_order, which is
+    distinct from a negative answer.
+
+    The library's former alexander_recognize, verbatim except that the
+    candidate tables come from a memoized Q.affine: they repeat from one
+    input of an order to the next, and building them is most of the scan.
+    """
+    Q.ensure_quandle(q)
+    if q.order > max_order:
+        raise Q.BudgetExceededError(
+            f"affine recognition capped at order {max_order}, got {q.order}")
+    for group in Q.abelian_group_specs(q.order):
+        for t, images in Q.enumerate_automorphisms(group):
+            result = Q.are_isomorphic(q, _affine(group, t))
+            if result.isomorphic:
+                return Q.AffineWitness(group=group, generator_images=images,
+                                       iso=result.mapping)
+    return None

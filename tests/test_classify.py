@@ -1,10 +1,11 @@
 import random
+import sys
 
 import pytest
 
 import quandles as Q
 
-from conftest import brute_isomorphic, relabel
+from conftest import brute_isomorphic, is_isomorphism, relabel
 import quandles.classify as classify_mod
 from quandles.classify import _STAGES
 
@@ -89,6 +90,23 @@ class TestAreIsomorphic:
             for x in q.elements():
                 for y in q.elements():
                     assert phi(Q.apply(q, x, y)) == Q.apply(relabel(q, sigma), phi(x), phi(y))
+
+    def test_search_depth_is_not_bounded_by_the_stack(self):
+        # trivial(300) forces nothing, so the search assigns 300 seeds one by one
+        q = Q.trivial(300)
+        images = list(q.elements())
+        random.Random(300).shuffle(images)
+        r = relabel(q, Q.Permutation(tuple(images)))
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            phi = classify_mod._search_isomorphism(q, r)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert phi is not None and is_isomorphism(q, r, phi)
 
     def test_order_mismatch_certificate(self):
         res = Q.are_isomorphic(Q.trivial(3), Q.trivial(4))

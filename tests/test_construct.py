@@ -207,6 +207,11 @@ class TestAuditTransfer:
         assert rec.holds_on_product is None
         assert rec.agrees is None
 
+    @pytest.mark.parametrize("budget", [True, 0, -5])
+    def test_bad_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match=f"alexander_budget must be >= 1, got {budget}"):
+            Q.audit_transfer(Q.dihedral(3), Q.trivial_rule(), alexander_budget=budget)
+
     def test_invalid_rule_rejected_with_report(self):
         with pytest.raises(Q.NotAQuandleError, match="phase rule"):
             Q.audit_transfer(Q.TABLE1, Q.literal_rule_A())

@@ -1,12 +1,14 @@
 import math
 import random
+import warnings
 from itertools import permutations
 
 import pytest
 
 import quandles as Q
+from quandles.cli import main
 
-from conftest import medial_by_scan, relabel
+from conftest import alexander_by_scan, conjugate_identities_by_scan, medial_by_scan, relabel
 
 
 def involutory_by_scan(q):
@@ -126,6 +128,19 @@ class TestConjugateIdentities:
         for name, q in battery.items():
             assert Q.conjugate_identities(q), name
 
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_scan_holds_on_every_labeled_table(self, n):
+        for q in Q.all_quandle_tables(n):
+            assert conjugate_identities_by_scan(q) and Q.conjugate_identities(q), q.table
+
+    def test_scan_holds_on_census_5(self):
+        for q in Q.census(5):
+            assert conjugate_identities_by_scan(q) and Q.conjugate_identities(q), q.table
+
+    def test_rejects_unchecked_input(self):
+        with pytest.raises(Q.NotAQuandleError):
+            Q.conjugate_identities(Q.from_table(2, [[1, 2], [1, 2]]))
+
 
 class TestCentralizer:
     @pytest.mark.parametrize("a", [1, 2, 3, 4])
@@ -240,6 +255,78 @@ class TestAlexanderRecognize:
             if Q.alexander_recognize(q) is not None:
                 assert Q.is_abelian(q)
 
+    @pytest.mark.parametrize("budget", [True, False, 0, -5, 15.0, "15"])
+    def test_bad_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match=f"max_order must be >= 1, got {budget!r}"):
+            Q.alexander_recognize(Q.trivial(4), max_order=budget)
+        # the argument is checked before the table
+        with pytest.raises(ValueError, match="max_order"):
+            Q.alexander_recognize(Q.from_table(2, [[1, 2], [1, 2]]), max_order=budget)
+
+    @pytest.mark.parametrize("budget", ["-5", "0"])
+    def test_cli_bad_budget_exits_1(self, budget, capsys):
+        assert main(["props", "paper:table1", "--alexander-budget", budget]) == 1
+        assert f"max_order must be >= 1, got {budget}" in capsys.readouterr().err
+        assert main(["audit", "--base", "paper:table1", "--rule", "dihedral",
+                     "--alexander-budget", budget]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"alexander_budget must be >= 1, got {budget}" in captured.err
+
+    def test_slow_rejections_are_fast(self):
+        # 2.8 s and 124 s for the brute-force search
+        assert Q.alexander_recognize(Q.conjugation(Q.symmetric_group(4)), max_order=24) is None
+        assert Q.alexander_recognize(Q.conjugation(Q.dihedral_group(8)), max_order=16) is None
+
+
+def assert_same_witness(q, max_order=15):
+    w = Q.alexander_recognize(q, max_order=max_order)
+    assert w == alexander_by_scan(q, max_order=max_order), q.table
+    return w
+
+
+class TestAlexanderAgainstScan:
+    """The gated search returns the brute-force search's lex-first witness."""
+
+    def test_census_and_relabelings(self):
+        rng = random.Random(11)
+        for n in range(1, 6):
+            for q in Q.census(n):
+                assert_same_witness(q)
+                for _ in range(2):
+                    images = list(q.elements())
+                    rng.shuffle(images)
+                    assert_same_witness(relabel(q, Q.Permutation(tuple(images))))
+
+    def test_products_of_census_bases(self):
+        rules = Q.enumerate_phase_rules()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # bases of order 1 and 2
+            products = [Q.product3(b, r) for n in range(1, 6) for b in Q.census(n) for r in rules]
+        for q in products:
+            assert_same_witness(q)
+
+    # the invariant factor chains of the benchmark's affine positives
+    CHAINS = ((8,), (2, 4), (2, 2, 2), (9,), (3, 3), (10,), (11,), (12,), (2, 6),
+              (13,), (14,), (15,), (16,), (2, 8))
+
+    @pytest.mark.parametrize("factors", CHAINS)
+    def test_affine_tables_over_workload_chains(self, factors):
+        rng = random.Random(sum(factors))
+        g = Q.AbelianGroupSpec(factors)
+        automorphisms = [t for t, _ in Q.enumerate_automorphisms(g)]
+        for t in rng.sample(automorphisms, min(2, len(automorphisms))):
+            images = list(range(1, g.order + 1))
+            rng.shuffle(images)
+            q = relabel(Q.affine(g, t), Q.Permutation(tuple(images)))
+            w = assert_same_witness(q, max_order=16)
+            assert w is not None and w.reproduces(q)
+
+    def test_named_non_affine(self):
+        for q in (Q.conjugation(Q.dihedral_group(4)), Q.conjugation(Q.dihedral_group(6)),
+                  Q.Q1, Q.Q2):
+            assert assert_same_witness(q, max_order=12) is None, q.name
+
 
 class TestLemmaSumCheck:
     def test_z12_times_5(self):
@@ -275,5 +362,6 @@ class TestAffineBattery:
                     q = Q.affine(g, t)
                     w = Q.alexander_recognize(q)
                     assert w is not None, (g.cyclic_factors, t.images)
+                    assert w == alexander_by_scan(q), (g.cyclic_factors, t.images)
                     assert w.reproduces(q)
                     assert Q.is_abelian(q)

@@ -1,5 +1,5 @@
-"""Property tests: the medial test, the invariant profile and classification
-do not depend on how the elements of a table are labeled."""
+"""Property tests: the medial test, the invariant profile, classification and
+affine recognition do not depend on how the elements of a table are labeled."""
 
 from functools import cache
 
@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import quandles as Q
 
-from conftest import relabel
+from conftest import alexander_by_scan, relabel
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 
@@ -43,3 +43,22 @@ def test_classification_follows_a_shuffle(data):
     assert {frozenset(c.members) for c in forward} == expected
     assert {frozenset(order[j] for j in c.members) for c in shuffled} == expected
     assert [c.representative for c in shuffled] == [c.representative for c in forward]
+
+
+GROUPS = [g.cyclic_factors for n in range(1, 13) for g in Q.abelian_group_specs(n)]
+
+
+@cache
+def automorphisms(factors):
+    return [t for t, _ in Q.enumerate_automorphisms(Q.AbelianGroupSpec(factors))]
+
+
+@settings(PROPERTY, max_examples=30)
+@given(st.data())
+def test_affine_witness_survives_relabeling(data):
+    factors = data.draw(st.sampled_from(GROUPS))
+    q = Q.affine(Q.AbelianGroupSpec(factors), data.draw(st.sampled_from(automorphisms(factors))))
+    r = data.draw(relabelings(q))
+    w, v = Q.alexander_recognize(q), Q.alexander_recognize(r)
+    assert (v.group, v.generator_images) == (w.group, w.generator_images)
+    assert v == alexander_by_scan(r)
