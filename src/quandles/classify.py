@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from itertools import permutations as _permutations
 
-from .core import Permutation, Quandle, translations
+from .core import Permutation, Quandle, _check_order, translations
 from .inner import orbits
 from .properties import (
     centralizer,
@@ -258,6 +258,7 @@ def all_quandle_tables(n: int) -> tuple[Quandle, ...]:
     Idempotency and column bijectivity are built in (column y is a permutation
     fixing y); self-distributivity prunes as soon as a triple is refutable.
     """
+    _check_order(n)
     col_candidates = []
     for y in range(1, n + 1):
         rest = [v for v in range(1, n + 1) if v != y]

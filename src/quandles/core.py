@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations as _permutations
+from itertools import islice, permutations as _permutations
 from operator import mul
 
 DEFAULT_WITNESS_CAP = 10
@@ -195,52 +195,43 @@ def check_axioms(q: Quandle, witness_cap: int | None = DEFAULT_WITNESS_CAP) -> A
     Witness collection stops at witness_cap per axiom; pass None for an
     exhaustive witness list. The verdicts themselves are always exact.
     """
-    if witness_cap is not None and witness_cap < 1:
-        raise ValueError("witness_cap must be None or >= 1")
+    if witness_cap is not None:
+        _check_order(witness_cap, "witness_cap")
     n, t = q.order, q.table
-    cap = witness_cap
-
-    idem = []
-    for x in range(1, n + 1):
-        if t[x - 1][x - 1] != x:
-            idem.append(x)
-            if cap is not None and len(idem) >= cap:
-                break
-
-    cols = []
-    for y in range(1, n + 1):
-        seen: dict[int, int] = {}
-        for x in range(1, n + 1):
-            v = t[x - 1][y - 1]
-            if v in seen:
-                cols.append((y, seen[v], x))
-                break
-            seen[v] = x
-        if cap is not None and len(cols) >= cap:
-            break
-
-    triples = []
-    done = False
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            xy = t[x - 1][y - 1]
-            for z in range(1, n + 1):
-                if t[xy - 1][z - 1] != t[t[x - 1][z - 1] - 1][t[y - 1][z - 1] - 1]:
-                    triples.append((x, y, z))
-                    if cap is not None and len(triples) >= cap:
-                        done = True
-                        break
-            if done:
-                break
-        if done:
-            break
-
+    idem = tuple(islice((x for x in range(1, n + 1) if t[x - 1][x - 1] != x), witness_cap))
+    repeats = ((y, _first_repeat(col)) for y, col in enumerate(zip(*t), start=1))
+    cols = tuple(islice(((y, r[0], r[1]) for y, r in repeats if r), witness_cap))
+    triples = tuple(islice(_distributivity_failures(t), witness_cap))
     return AxiomReport(
-        idempotency=AxiomVerdict(not idem, tuple(idem)),
-        right_invertibility=AxiomVerdict(not cols, tuple(cols)),
-        self_distributivity=AxiomVerdict(not triples, tuple(triples)),
+        idempotency=AxiomVerdict(not idem, idem),
+        right_invertibility=AxiomVerdict(not cols, cols),
+        self_distributivity=AxiomVerdict(not triples, triples),
         witness_cap=witness_cap,
     )
+
+
+def _first_repeat(col) -> tuple[int, int, int] | None:
+    """(a, b, v) for the least 1-based row b whose value v already sat at row a, else None."""
+    seen: dict[int, int] = {}
+    for b, v in enumerate(col, start=1):
+        a = seen.setdefault(v, b)
+        if a != b:
+            return a, b, v
+    return None
+
+
+def _distributivity_failures(t):
+    """Yield each 1-based (x, y, z) with (x>y)>z != (x>z)>(y>z) in table t, lexicographically."""
+    rows = [[v - 1 for v in row] for row in t]
+    r = range(len(rows))
+    for x in r:
+        rx = rows[x]
+        for y in r:
+            ry = rows[y]
+            xy_row = rows[rx[y]]
+            for z in r:
+                if xy_row[z] != rows[rx[z]][ry[z]]:
+                    yield x + 1, y + 1, z + 1
 
 
 def _check_element(q: Quandle, v: int, argname: str) -> None:
@@ -267,14 +258,9 @@ def right_translation(q: Quandle, y: int) -> Permutation:
     images = tuple(q.table[x - 1][y - 1] for x in range(1, q.order + 1))
     try:
         return Permutation(images)
-    except ValueError:
-        seen: dict[int, int] = {}
-        for x, v in enumerate(images, start=1):
-            if v in seen:
-                raise NotAQuandleError(
-                    f"column {y} is not a bijection: rows {seen[v]} and {x} both map to {v}") from None
-            seen[v] = x
-        raise
+    except ValueError:  # entries lie in 1..n, so a non-bijective column has a repeat
+        a, b, v = _first_repeat(images)
+        raise NotAQuandleError(f"column {y} is not a bijection: rows {a} and {b} both map to {v}") from None
 
 
 @lru_cache(maxsize=None)
@@ -518,12 +504,13 @@ def _check_index(group: AbelianGroupSpec, i: int) -> None:
 
 
 def scalar_automorphism(group: AbelianGroupSpec, r: int) -> Permutation:
-    """x -> r*x; raises when r is not a unit for the group."""
-    n = group.order
-    images = tuple(group.scale(r, i) for i in range(1, n + 1))
-    if sorted(images) != list(range(1, n + 1)):
-        raise ValueError(f"{r} is not a unit for {group.describe()}")
-    return Permutation(images)
+    """x -> r*x; raises when r is not an int or not a unit for the group."""
+    if type(r) is not int:
+        raise ValueError(f"scalar must be an int, got {r!r}")
+    try:
+        return Permutation(tuple(group.scale(r, i) for i in range(1, group.order + 1)))
+    except ValueError:
+        raise ValueError(f"{r} is not a unit for {group.describe()}") from None
 
 
 def identity_automorphism(group: AbelianGroupSpec) -> Permutation:

@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import BudgetExceededError, Permutation, Quandle, translations
+from .core import BudgetExceededError, Permutation, Quandle, _check_order, translations
 
 DEFAULT_MATERIALIZE_CAP = 10**6
 
@@ -58,6 +58,7 @@ def inn_group(q: Quandle, materialize_cap: int = DEFAULT_MATERIALIZE_CAP) -> Per
     Raises BudgetExceededError when the closure passes materialize_cap before
     completing.
     """
+    _check_order(materialize_cap, "materialize_cap")
     gens: list[Permutation] = []
     seen: set[Permutation] = set()
     for p in translations(q):

@@ -17,6 +17,7 @@ from .core import (
     Quandle,
     _check_element,
     _check_order,
+    _distributivity_failures,
     _extender,
     affine,
     automorphism_from_images,
@@ -66,19 +67,10 @@ def is_abelian(q: Quandle) -> bool:
 
 
 def is_left_distributive(q: Quandle) -> bool:
-    """x>(y>z) = (x>y)>(x>z) over all triples."""
+    """x>(y>z) = (x>y)>(x>z) over all triples: self-distributivity of the
+    opposite operation x*y = y>x, whose table is the transpose."""
     ensure_quandle(q)
-    t = q.table
-    r = range(q.order)
-    for x in r:
-        rx = t[x]
-        for y in r:
-            ry = t[y]
-            xy_row = t[rx[y] - 1]
-            for z in r:
-                if rx[ry[z] - 1] != xy_row[rx[z] - 1]:
-                    return False
-    return True
+    return next(_distributivity_failures(tuple(zip(*q.table))), None) is None
 
 
 def is_connected(q: Quandle) -> bool:

@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 
 import quandles as Q
+from quandles.core import DEFAULT_WITNESS_CAP
 
 
 @pytest.fixture(scope="session")
@@ -98,6 +99,71 @@ def medial_by_scan(q):
                 for z in r:
                     if a_row[ry[z] - 1] != c_row[rx[z] - 1]:
                         return False
+    return True
+
+
+def axioms_by_scan(q, witness_cap=DEFAULT_WITNESS_CAP):
+    """The library's former check_axioms, verbatim: one hand-capped loop per axiom."""
+    if witness_cap is not None and witness_cap < 1:
+        raise ValueError("witness_cap must be None or >= 1")
+    n, t = q.order, q.table
+    cap = witness_cap
+
+    idem = []
+    for x in range(1, n + 1):
+        if t[x - 1][x - 1] != x:
+            idem.append(x)
+            if cap is not None and len(idem) >= cap:
+                break
+
+    cols = []
+    for y in range(1, n + 1):
+        seen: dict[int, int] = {}
+        for x in range(1, n + 1):
+            v = t[x - 1][y - 1]
+            if v in seen:
+                cols.append((y, seen[v], x))
+                break
+            seen[v] = x
+        if cap is not None and len(cols) >= cap:
+            break
+
+    triples = []
+    done = False
+    for x in range(1, n + 1):
+        for y in range(1, n + 1):
+            xy = t[x - 1][y - 1]
+            for z in range(1, n + 1):
+                if t[xy - 1][z - 1] != t[t[x - 1][z - 1] - 1][t[y - 1][z - 1] - 1]:
+                    triples.append((x, y, z))
+                    if cap is not None and len(triples) >= cap:
+                        done = True
+                        break
+            if done:
+                break
+        if done:
+            break
+
+    return Q.AxiomReport(
+        idempotency=Q.AxiomVerdict(not idem, tuple(idem)),
+        right_invertibility=Q.AxiomVerdict(not cols, tuple(cols)),
+        self_distributivity=Q.AxiomVerdict(not triples, tuple(triples)),
+        witness_cap=witness_cap,
+    )
+
+
+def left_distributive_by_scan(q):
+    """x>(y>z) = (x>y)>(x>z) over all triples, on the table as given."""
+    t = q.table
+    r = range(q.order)
+    for x in r:
+        rx = t[x]
+        for y in r:
+            ry = t[y]
+            xy_row = t[rx[y] - 1]
+            for z in r:
+                if rx[ry[z] - 1] != xy_row[rx[z] - 1]:
+                    return False
     return True
 
 

@@ -204,3 +204,11 @@ class TestCensus:
             Q.census(7)
         with pytest.raises(ValueError):
             Q.census(0)
+
+    def test_non_int_order_rejected(self):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            Q.census(2.0)
+
+    def test_labeled_enumeration_rejects_bad_order(self):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            Q.all_quandle_tables(-1)

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 import quandles as Q
+from conftest import axioms_by_scan
 
 
 class TestPermutation:
@@ -113,8 +116,29 @@ class TestCheckAxioms:
             assert Q.check_axioms(q) == Q.check_axioms(q)
 
     def test_rejects_bad_cap(self):
-        with pytest.raises(ValueError):
-            Q.check_axioms(Q.trivial(2), witness_cap=0)
+        for cap in (0, -1, True, 2.5, "3"):
+            with pytest.raises(ValueError):
+                Q.check_axioms(Q.trivial(2), witness_cap=cap)
+
+
+def _axiom_inputs():
+    bases = [Q.dihedral(n) for n in range(3, 10)] + [Q.trivial(4), Q.TABLE1, Q.BASE_B]
+    tables = [Q.product3(b, rule, conv) for b in bases
+              for rule in (Q.literal_rule_A(), Q.literal_rule_B()) for conv in ("xa", "ax")]
+    rng = random.Random(0)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        tables.append(Q.from_table(n, [[rng.randint(1, n) for _ in range(n)] for _ in range(n)]))
+    return tables + [q for n in range(1, 5) for q in Q.all_quandle_tables(n)]
+
+
+class TestCheckAxiomsOracle:
+    @pytest.mark.parametrize("cap", [None, 1, 3])
+    def test_reports_equal_the_per_axiom_loops(self, cap):
+        tables = _axiom_inputs()
+        assert any(not Q.check_axioms(q).self_distributivity.ok for q in tables[:40])
+        for q in tables:
+            assert Q.check_axioms(q, witness_cap=cap) == axioms_by_scan(q, witness_cap=cap), q.table
 
 
 class TestApplyAndDual:
@@ -155,6 +179,13 @@ class TestApplyAndDual:
         q = Q.from_table(2, [[1, 2], [1, 2]])
         with pytest.raises(Q.NotAQuandleError, match="column 1"):
             Q.dual_apply(q, 1, 1)
+
+    def test_right_translation_names_the_first_collision(self):
+        # column 1 reads (2, 3, 3, 2): value 3 repeats at row 3 before value 2 does at row 4
+        q = Q.from_table(4, [[2, 1, 1, 1], [3, 2, 2, 2], [3, 3, 3, 3], [2, 4, 4, 4]])
+        with pytest.raises(Q.NotAQuandleError) as err:
+            Q.right_translation(q, 1)
+        assert str(err.value) == "column 1 is not a bijection: rows 2 and 3 both map to 3"
 
 
 class TestFamilies:
@@ -298,8 +329,13 @@ class TestAffine:
 
     def test_non_unit_rejected(self):
         g = Q.AbelianGroupSpec((12,))
-        with pytest.raises(ValueError, match="not a unit"):
+        with pytest.raises(ValueError, match="^4 is not a unit for Z12$"):
             Q.scalar_automorphism(g, 4)
+
+    @pytest.mark.parametrize("r", [True, False, 2.5, "3"])
+    def test_non_int_scalar_rejected(self, r):
+        with pytest.raises(ValueError):
+            Q.scalar_automorphism(Q.AbelianGroupSpec((4,)), r)
 
     def test_non_additive_rejected(self):
         g = Q.AbelianGroupSpec((4,))

@@ -88,6 +88,11 @@ class TestInnGroup:
         with pytest.raises(Q.BudgetExceededError):
             Q.inn_group(Q.dihedral(5), materialize_cap=3)
 
+    @pytest.mark.parametrize("cap", [True, -1, 0, 2.5])
+    def test_rejects_bad_cap(self, cap):
+        with pytest.raises(ValueError, match="materialize_cap must be >= 1"):
+            Q.inn_group(Q.dihedral(3), materialize_cap=cap)
+
 
 class TestOrbits:
     def test_q1(self):

@@ -8,7 +8,8 @@ import pytest
 import quandles as Q
 from quandles.cli import main
 
-from conftest import alexander_by_scan, conjugate_identities_by_scan, medial_by_scan, relabel
+from conftest import (alexander_by_scan, conjugate_identities_by_scan, left_distributive_by_scan,
+                      medial_by_scan, relabel)
 
 
 def involutory_by_scan(q):
@@ -81,6 +82,13 @@ class TestLeftDistributive:
         for name, q in battery.items():
             if Q.is_abelian(q):
                 assert Q.is_left_distributive(q), name
+
+    def test_agrees_with_scan(self):
+        tables = [q for n in range(1, 6) for q in Q.all_quandle_tables(n)]
+        tables += [Q.conjugation(Q.symmetric_group(4)), Q.conjugation(Q.dihedral_group(4)), Q.Q1, Q.Q2]
+        verdicts = [Q.is_left_distributive(q) for q in tables]
+        assert verdicts == [left_distributive_by_scan(q) for q in tables]
+        assert True in verdicts and False in verdicts
 
 
 class TestConnected:
