@@ -310,7 +310,7 @@ def census(n: int) -> tuple[Quandle, ...]:
     Hard cap at order 6: the column search blows up combinatorially beyond
     desk scale.
     """
-    if not 1 <= n <= CENSUS_CAP:
+    if type(n) is int and not 1 <= n <= CENSUS_CAP:  # all_quandle_tables rejects non-ints
         raise ValueError(f"census supports 1 <= n <= {CENSUS_CAP}, got {n}")
     labeled = all_quandle_tables(n)
     return tuple(cls.representative for cls in classify_family(labeled))

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import islice, permutations as _permutations
+from functools import cached_property, lru_cache
+from itertools import islice, permutations as _permutations, product as _cartesian
 from operator import mul
 
 DEFAULT_WITNESS_CAP = 10
@@ -85,14 +85,17 @@ class Permutation:
         return tuple(out)
 
     def order(self) -> int:
-        cycs = self.cycles()
-        return math.lcm(*(len(c) for c in cycs)) if cycs else 1
+        return math.lcm(*self.cycle_type())
 
     def cycle_type(self) -> tuple[int, ...]:
         """Partition of the degree by cycle length, descending, fixed points included."""
-        lengths = sorted((len(c) for c in self.cycles()), reverse=True)
-        fixed = self.degree - sum(lengths)
-        return tuple(lengths) + (1,) * fixed
+        return self._cycle_type
+
+    @cached_property
+    def _cycle_type(self) -> tuple[int, ...]:
+        # computed once per instance; the dataclass fields, ==, hash and repr ignore it
+        lengths = sorted(map(len, self.cycles()), reverse=True)
+        return tuple(lengths) + (1,) * (self.degree - sum(lengths))
 
     def cycle_string(self) -> str:
         """Render like ``(7,10), (8,11), (9,12)``; the identity renders as ``(1)``."""
@@ -418,13 +421,16 @@ class AbelianGroupSpec:
             return "Z1"
         return " x ".join(f"Z{f}" for f in self.cyclic_factors)
 
+    @cached_property
+    def _digits(self) -> tuple[tuple[int, ...], ...]:
+        """Every element's digits, in index order; len() is the group order."""
+        return tuple(_cartesian(*map(range, self.cyclic_factors)))
+
     def tuple_of(self, index: int) -> tuple[int, ...]:
-        k = index - 1
-        digits = []
-        for f in reversed(self.cyclic_factors):
-            digits.append(k % f)
-            k //= f
-        return tuple(reversed(digits))
+        digits = self._digits
+        if type(index) is not int or not 1 <= index <= len(digits):
+            raise ValueError(f"element index {index!r} out of range 1..{len(digits)}")
+        return digits[index - 1]
 
     def index_of(self, digits) -> int:
         k = 0
@@ -469,8 +475,7 @@ def automorphism_from_images(group: AbelianGroupSpec, images) -> Permutation:
     if len(images) != len(factors):
         raise ValueError(f"expected {len(factors)} generator images, got {len(images)}")
     for pos, (f, img) in enumerate(zip(factors, images), start=1):
-        _check_index(group, img)
-        if group.scale(f, img) != group.zero:
+        if group.scale(f, img) != group.zero:  # scale rejects a bad index
             raise ValueError(
                 f"image of generator {pos} has order not dividing {f}: not additive")
     full = _extender(group)(images)
@@ -483,12 +488,12 @@ def _extender(group: AbelianGroupSpec):
     """Return a function taking generator images (t(e_1), ..., t(e_k)) to the
     image tuple of the additive map t, or to None when t is not a bijection.
 
-    Every element's digits are read once, here; an element with digits d maps
-    to index_of(sum_i d_i * g_i), summed digit by digit over the images' own
-    digits g_i (index_of reduces modulo each factor).
+    An element with digits d maps to index_of(sum_i d_i * g_i), summed digit
+    by digit over the images' own digits g_i (index_of reduces modulo each
+    factor).
     """
-    elements = [group.tuple_of(i) for i in range(1, group.order + 1)]
-    index_of, n = group.index_of, group.order
+    elements, index_of = group._digits, group.index_of
+    n = len(elements)
 
     def extend(images) -> tuple[int, ...] | None:
         slots = tuple(zip(*(group.tuple_of(g) for g in images)))  # slots[j][i]: digit j of g_i
@@ -496,11 +501,6 @@ def _extender(group: AbelianGroupSpec):
         return full if len(set(full)) == n else None
 
     return extend
-
-
-def _check_index(group: AbelianGroupSpec, i: int) -> None:
-    if type(i) is not int or not 1 <= i <= group.order:
-        raise ValueError(f"element index {i!r} out of range 1..{group.order}")
 
 
 def scalar_automorphism(group: AbelianGroupSpec, r: int) -> Permutation:

@@ -90,7 +90,7 @@ def parse_table_text(text: str) -> Quandle:
 def parse_table_json(text: str) -> Quandle:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:  # RecursionError: nesting too deep
         raise TableFormatError(f"invalid JSON: {err}") from None
     if not isinstance(obj, dict) or "order" not in obj or "table" not in obj:
         raise TableFormatError("JSON table needs fields 'order' and 'table'")

@@ -59,13 +59,7 @@ def inn_group(q: Quandle, materialize_cap: int = DEFAULT_MATERIALIZE_CAP) -> Per
     completing.
     """
     _check_order(materialize_cap, "materialize_cap")
-    gens: list[Permutation] = []
-    seen: set[Permutation] = set()
-    for p in translations(q):
-        if p not in seen:
-            seen.add(p)
-            gens.append(p)
-
+    gens = list(dict.fromkeys(translations(q)))
     identity = Permutation.identity(q.order)
     elements = {identity}
     frontier = [identity]
@@ -87,23 +81,22 @@ def inn_group(q: Quandle, materialize_cap: int = DEFAULT_MATERIALIZE_CAP) -> Per
 
 def orbits(q: Quandle) -> tuple[tuple[int, ...], ...]:
     """Orbits of the translation group on {1..n}, each ascending, sorted by
-    least element."""
-    n = q.order
-    parent = list(range(n + 1))
+    least element.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in translations(q):
-        for x in range(1, n + 1):
-            rx, ry = find(x), find(p(x))
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-
-    groups: dict[int, list[int]] = {}
-    for x in range(1, n + 1):
-        groups.setdefault(find(x), []).append(x)
-    return tuple(tuple(groups[root]) for root in sorted(groups))
+    The group is finite, so the orbit of x is its closure under the maps
+    x -> x>y, whose images are read off row x of the table.
+    """
+    translations(q)  # raises NotAQuandleError on a non-bijective column
+    t = q.table
+    placed: set[int] = set()
+    out = []
+    for x in range(1, q.order + 1):
+        if x not in placed:
+            orbit, frontier = {x}, [x]
+            while frontier:
+                new = set(t[frontier.pop() - 1]) - orbit
+                orbit |= new
+                frontier.extend(new)
+            placed |= orbit
+            out.append(tuple(sorted(orbit)))
+    return tuple(out)

@@ -85,11 +85,7 @@ def is_cyclic_type(q: Quandle) -> bool:
     n = q.order
     if n < 2:
         raise ValueError(f"cyclic type needs order >= 2, got {n}")
-    for p in translations(q):
-        cycs = p.cycles()
-        if len(cycs) != 1 or len(cycs[0]) != n - 1:
-            return False
-    return True
+    return n > 2 and all(p.cycle_type() == (n - 1, 1) for p in translations(q))
 
 
 def conjugate_identities(q: Quandle) -> bool:

@@ -227,3 +227,37 @@ def alexander_by_scan(q, max_order=15):
                 return Q.AffineWitness(group=group, generator_images=images,
                                        iso=result.mapping)
     return None
+
+
+def orbits_by_union_find(q):
+    """The library's former orbits, verbatim: union-find over every translation's images."""
+    n = q.order
+    parent = list(range(n + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for p in Q.translations(q):
+        for x in range(1, n + 1):
+            rx, ry = find(x), find(p(x))
+            if rx != ry:
+                parent[max(rx, ry)] = min(rx, ry)
+
+    groups: dict[int, list[int]] = {}
+    for x in range(1, n + 1):
+        groups.setdefault(find(x), []).append(x)
+    return tuple(tuple(groups[root]) for root in sorted(groups))
+
+
+def digits_by_division(group, index):
+    """The library's former AbelianGroupSpec.tuple_of, verbatim: mixed-radix
+    division, last factor fastest."""
+    k = index - 1
+    digits = []
+    for f in reversed(group.cyclic_factors):
+        digits.append(k % f)
+        k //= f
+    return tuple(reversed(digits))

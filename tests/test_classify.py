@@ -209,6 +209,11 @@ class TestCensus:
         with pytest.raises(ValueError, match="order must be >= 1"):
             Q.census(2.0)
 
+    @pytest.mark.parametrize("n", ["3", True])
+    def test_string_or_bool_order_rejected(self, n):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            Q.census(n)
+
     def test_labeled_enumeration_rejects_bad_order(self):
         with pytest.raises(ValueError, match="order must be >= 1"):
             Q.all_quandle_tables(-1)

@@ -37,6 +37,14 @@ class TestCheck:
         assert main(["check", str(path)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_deeply_nested_json_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"order": 1, "table": ' + "[" * 200_000)
+        assert main(["check", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1
+
     def test_unknown_builtin_exits_1(self, capsys):
         assert main(["check", "paper:nope"]) == 1
 

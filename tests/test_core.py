@@ -1,9 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 import quandles as Q
-from conftest import axioms_by_scan
+from conftest import axioms_by_scan, digits_by_division
 
 
 class TestPermutation:
@@ -28,6 +29,23 @@ class TestPermutation:
         p = Q.Permutation((2, 3, 1, 5, 4))
         assert p.order() == 6
         assert Q.Permutation.identity(4).order() == 1
+
+    def test_cycles_run_once_per_permutation(self, monkeypatch):
+        calls = []
+        cycles = Q.Permutation.cycles
+        monkeypatch.setattr(Q.Permutation, "cycles", lambda p: calls.append(p) or cycles(p))
+        p = Q.Permutation((2, 3, 1, 5, 4))
+        for _ in range(3):
+            assert p.order() == 6
+            assert p.cycle_type() == (3, 2)
+        assert calls == [p]
+
+    def test_cached_cycle_type_is_invisible(self):
+        p, fresh = Q.Permutation((2, 1, 3)), Q.Permutation((2, 1, 3))
+        before = (repr(p), hash(p))
+        assert p.cycle_type() == (2, 1)
+        assert [f.name for f in dataclasses.fields(p)] == ["images"]
+        assert p == fresh and (repr(p), hash(p)) == before == (repr(fresh), hash(fresh))
 
     def test_cycle_type_includes_fixed_points(self):
         p = Q.Permutation((2, 1, 3, 4))
@@ -312,6 +330,27 @@ class TestAbelianGroupSpec:
         g = Q.AbelianGroupSpec(())
         assert g.order == 1
         assert g.add(1, 1) == 1
+
+    def test_digits_equal_division(self):
+        groups = [g for n in range(1, 33) for g in Q.abelian_group_specs(n)]
+        assert Q.AbelianGroupSpec(()) in groups
+        for g in groups:
+            assert [g.tuple_of(i) for i in range(1, g.order + 1)] == [
+                digits_by_division(g, i) for i in range(1, g.order + 1)], g.describe()
+
+    @pytest.mark.parametrize("method,args", [
+        ("tuple_of", (5,)), ("tuple_of", (0,)), ("tuple_of", (True,)), ("tuple_of", (2.0,)),
+        ("add", (0, 1)), ("sub", (1, 5)), ("negate", (-1,)), ("scale", (2, "1"))])
+    def test_bad_index_rejected(self, method, args):
+        with pytest.raises(ValueError, match=r"element index .* out of range 1\.\.4$"):
+            getattr(Q.AbelianGroupSpec((4,)), method)(*args)
+
+    def test_cached_digits_are_invisible(self):
+        g, fresh = Q.AbelianGroupSpec((2, 3)), Q.AbelianGroupSpec((2, 3))
+        before = (repr(g), hash(g))
+        assert g.tuple_of(6) == (1, 2)
+        assert [f.name for f in dataclasses.fields(g)] == ["cyclic_factors"]
+        assert g == fresh and (repr(g), hash(g)) == before == (repr(fresh), hash(fresh))
 
 
 class TestAffine:

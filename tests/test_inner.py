@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 import quandles as Q
+from conftest import orbits_by_union_find, relabel
 
 Q1_LISTING = [
     "R(1) = (1)",
@@ -112,3 +115,22 @@ class TestOrbits:
                     image = frozenset(p(x) for x in o)
                     assert image in orbit_set
                     assert len(image) == len(o)
+
+    def test_rejects_broken_column(self):
+        with pytest.raises(Q.NotAQuandleError, match="column 1 is not a bijection"):
+            Q.orbits(Q.from_table(2, [[1, 2], [1, 2]]))
+
+    def test_equal_union_find(self):
+        tables = [q for n in range(1, 6) for q in Q.all_quandle_tables(n)]
+        rng = random.Random(8)
+        for q in Q.census(5):
+            for _ in range(3):
+                images = list(q.elements())
+                rng.shuffle(images)
+                tables.append(relabel(q, Q.Permutation(tuple(images))))
+        tables += [Q.dihedral(n) for n in range(3, 13)]
+        tables += [Q.conjugation(Q.symmetric_group(4)), Q.Q1, Q.Q2]
+        tables += [Q.product3(Q.dihedral(5), rule) for rule in Q.enumerate_phase_rules()]
+        for q in tables:
+            assert Q.orbits(q) == orbits_by_union_find(q), q.table
+        assert {len(Q.orbits(q)) for q in tables} >= {1, 2, 3, 5}
