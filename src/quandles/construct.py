@@ -37,8 +37,9 @@ class PhaseRule:
     name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if len(self.f) != 3 or any(len(row) != 3 for row in self.f):
-            raise ValueError("phase table must be 3x3")
+        if type(self.f) is not tuple or len(self.f) != 3 or any(
+                type(row) is not tuple or len(row) != 3 for row in self.f):
+            raise ValueError("phase table must be 3x3, as a tuple of row tuples")
         for a, row in enumerate(self.f):
             for b, v in enumerate(row):
                 if type(v) is not int or v not in PHASES:

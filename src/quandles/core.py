@@ -32,6 +32,8 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.images) is not tuple:
+            raise ValueError(f"permutation images must be a tuple, got {self.images!r}")
         n = len(self.images)
         ordered = sorted(self.images)
         # once the values are 1..n, only the one equal to 1 can be a bool (True)
@@ -138,8 +140,10 @@ def _check_order(n, what: str = "order") -> None:
 
 
 def _check_square(n, table) -> None:
-    """Raise unless table is n rows of n ints in 1..n; a bool is not an int here."""
+    """Raise unless table is a tuple of n row tuples of n ints in 1..n; a bool is not an int here."""
     _check_order(n)
+    if type(table) is not tuple or any(type(row) is not tuple for row in table):
+        raise ValueError("table must be a tuple of row tuples")
     if len(table) != n:
         raise ValueError(f"shape mismatch: expected {n} rows, got {len(table)}")
     for i, row in enumerate(table, start=1):
@@ -404,9 +408,9 @@ class AbelianGroupSpec:
     cyclic_factors: tuple[int, ...]
 
     def __post_init__(self):
-        for f in self.cyclic_factors:
-            if not isinstance(f, int) or f < 2:
-                raise ValueError(f"cyclic factors must be ints >= 2, got {f!r}")
+        fs = self.cyclic_factors
+        if type(fs) is not tuple or not all(type(f) is int and f >= 2 for f in fs):
+            raise ValueError(f"cyclic factors must be a tuple of ints >= 2, got {fs!r}")
 
     @property
     def order(self) -> int:
@@ -453,14 +457,14 @@ class AbelianGroupSpec:
 
 
 def validate_automorphism(group: AbelianGroupSpec, t: Permutation) -> None:
-    """Raise unless t is an additive bijection of the group (in index coding)."""
-    n = group.order
-    if t.degree != n:
-        raise ValueError(f"map degree {t.degree} does not match group order {n}")
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            if t(group.add(i, j)) != group.add(t(i), t(j)):
-                raise ValueError(f"not additive at elements ({i},{j})")
+    """Raise unless t is additive: its images of the canonical generators have orders
+    dividing their factors, and the additive map they define is t."""
+    fs = group.cyclic_factors
+    if t.degree != group.order:
+        raise ValueError(f"map degree {t.degree} does not match group order {group.order}")
+    images = tuple(t(group.index_of([int(i == j) for j in range(len(fs))])) for i in range(len(fs)))
+    if any(group.scale(f, g) != group.zero for f, g in zip(fs, images)) or _extender(group)(images) != t.images:
+        raise ValueError(f"not additive: generator images {images} do not extend to this map")
 
 
 def automorphism_from_images(group: AbelianGroupSpec, images) -> Permutation:

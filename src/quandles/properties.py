@@ -169,8 +169,8 @@ class AffineWitness:
 def alexander_recognize(q: Quandle, max_order: int = 15) -> AffineWitness | None:
     """Search for an affine presentation of q over some abelian group.
 
-    The first candidate in (group chain, generator images) order that
-    are_isomorphic accepts wins; those that cannot match are skipped. Aff(A, t)
+    The first candidate in (group chain, generator images) order onto which the
+    isomorphism search maps q wins; those that cannot match are skipped. Aff(A, t)
     is medial and its translations T_y t T_y^-1 have t's cycle type, so a
     non-medial q, or one whose translations have two cycle types, is not affine,
     and only t of q's cycle type are tried. A connected q is affine iff medial,
@@ -180,7 +180,7 @@ def alexander_recognize(q: Quandle, max_order: int = 15) -> AffineWitness | None
     Returns None when none matches; raises BudgetExceededError when n exceeds
     max_order, which is distinct from a negative answer.
     """
-    from .classify import are_isomorphic  # import here: classify uses these predicates
+    from .classify import _search_isomorphism  # import here: classify uses these predicates
 
     _check_order(max_order, "max_order")
     ensure_quandle(q)
@@ -201,10 +201,9 @@ def alexander_recognize(q: Quandle, max_order: int = 15) -> AffineWitness | None
         for t, images in enumerate_automorphisms(group):
             if t.cycle_type() not in cycle_types:
                 continue
-            result = are_isomorphic(q, affine(group, t))
-            if result.isomorphic:
-                return AffineWitness(group=group, generator_images=images,
-                                     iso=result.mapping)
+            iso = _search_isomorphism(q, affine(group, t))  # complete, and re-checks its mapping
+            if iso is not None:
+                return AffineWitness(group=group, generator_images=images, iso=iso)
     return None
 
 

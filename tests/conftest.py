@@ -229,6 +229,14 @@ def alexander_by_scan(q, max_order=15):
     return None
 
 
+def additive_by_pairs(group, t):
+    """The library's former validate_automorphism as a predicate: t(i + j) = t(i) + t(j)
+    for every pair of elements, each sum taken through AbelianGroupSpec.add."""
+    n = group.order
+    return t.degree == n and all(t(group.add(i, j)) == group.add(t(i), t(j))
+                                 for i in range(1, n + 1) for j in range(i, n + 1))
+
+
 def orbits_by_union_find(q):
     """The library's former orbits, verbatim: union-find over every translation's images."""
     n = q.order

@@ -55,6 +55,13 @@ class TestValidateRule:
         with pytest.raises(ValueError, match="phase entry True at \\(1,0\\)"):
             Q.PhaseRule(((0, 0, 0), (True, True, True), (2, 2, 2)))
 
+    @pytest.mark.parametrize("rows", [[[0, 0, 0], [1, 1, 1], [2, 2, 2]],
+                                      ([0, 0, 0], [1, 1, 1], [2, 2, 2])])
+    def test_list_phase_table_rejected(self, rows):
+        with pytest.raises(ValueError, match="phase table must be 3x3, as a tuple of row tuples"):
+            Q.PhaseRule(rows)
+        assert Q.rule_from_table(rows) == Q.trivial_rule()
+
 
 class TestEnumeratePhaseRules:
     def test_exactly_five(self):

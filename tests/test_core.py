@@ -1,10 +1,11 @@
 import dataclasses
 import random
+from itertools import permutations
 
 import pytest
 
 import quandles as Q
-from conftest import axioms_by_scan, digits_by_division
+from conftest import additive_by_pairs, axioms_by_scan, digits_by_division
 
 
 class TestPermutation:
@@ -16,6 +17,10 @@ class TestPermutation:
     def test_rejects_bool_entry(self, images):
         with pytest.raises(ValueError, match="not a bijection"):
             Q.Permutation(images)
+
+    def test_list_images_rejected(self):
+        with pytest.raises(ValueError, match=r"images must be a tuple, got \[2, 1\]"):
+            Q.Permutation([2, 1])
 
     def test_cycles_canonical(self):
         p = Q.Permutation((1, 3, 2, 5, 4, 6))
@@ -87,6 +92,12 @@ class TestFromTable:
     def test_bool_order_rejected(self):
         with pytest.raises(ValueError, match="order"):
             Q.Quandle(True, ((1,),))
+
+    @pytest.mark.parametrize("rows", [[[1, 1], [2, 2]], ([1, 1], [2, 2]), [(1, 1), (2, 2)]])
+    def test_list_table_rejected(self, rows):
+        with pytest.raises(ValueError, match="table must be a tuple of row tuples"):
+            Q.Quandle(2, rows)
+        assert Q.from_table(2, rows) == Q.trivial(2)
 
 
 class TestCheckAxioms:
@@ -314,6 +325,11 @@ class TestAbelianGroupSpec:
         with pytest.raises(ValueError):
             Q.AbelianGroupSpec((1, 2))
 
+    @pytest.mark.parametrize("factors", [[3], 5])
+    def test_rejects_non_tuple_factors(self, factors):
+        with pytest.raises(ValueError, match="cyclic factors must be a tuple of ints >= 2"):
+            Q.AbelianGroupSpec(factors)
+
     def test_index_tuple_round_trip(self):
         g = Q.AbelianGroupSpec((2, 3))
         for i in range(1, 7):
@@ -382,6 +398,21 @@ class TestAffine:
         t = Q.Permutation((1, 3, 2, 4))
         with pytest.raises(ValueError, match="not additive"):
             Q.affine(g, t)
+
+    # every abelian group of order <= 6, and factor lists that are not invariant factor chains
+    @pytest.mark.parametrize("factors", [g.cyclic_factors for n in range(1, 7)
+                                         for g in Q.abelian_group_specs(n)] + [(2, 3), (3, 2), (4, 2)])
+    def test_validation_matches_pairwise_oracle(self, factors):
+        g = Q.AbelianGroupSpec(factors)
+        for images in permutations(range(1, g.order + 1)):
+            t = Q.Permutation(images)
+            try:
+                Q.validate_automorphism(g, t)
+            except ValueError as err:
+                assert str(err).startswith("not additive"), err
+                assert not additive_by_pairs(g, t), images
+            else:
+                assert additive_by_pairs(g, t), images
 
     def test_all_units_pass_axioms_up_to_12(self):
         import math

@@ -6,10 +6,13 @@ from itertools import permutations
 import pytest
 
 import quandles as Q
+import quandles.classify as classify_mod
+import quandles.core as core_mod
+import quandles.properties as properties_mod
 from quandles.cli import main
 
-from conftest import (alexander_by_scan, conjugate_identities_by_scan, left_distributive_by_scan,
-                      medial_by_scan, relabel)
+from conftest import (additive_by_pairs, alexander_by_scan, conjugate_identities_by_scan,
+                      left_distributive_by_scan, medial_by_scan, relabel)
 
 
 def involutory_by_scan(q):
@@ -213,7 +216,7 @@ class TestEnumerateAutomorphisms:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_brute_force_automorphisms(self, n):
-        """Oracle: every bijection fixing the zero that validate_automorphism accepts."""
+        """Oracle: every bijection fixing the zero that the pairwise additivity check accepts."""
         for g in Q.abelian_group_specs(n):
             listed = list(Q.enumerate_automorphisms(g))
             images = [imgs for _, imgs in listed]
@@ -221,11 +224,8 @@ class TestEnumerateAutomorphisms:
             brute = set()
             for rest in permutations(range(2, n + 1)):
                 t = Q.Permutation((1,) + rest)
-                try:
-                    Q.validate_automorphism(g, t)
-                except ValueError:
-                    continue
-                brute.add(t)
+                if additive_by_pairs(g, t):
+                    brute.add(t)
             assert len(listed) == len(brute), g.cyclic_factors
             assert {t for t, _ in listed} == brute, g.cyclic_factors
 
@@ -334,6 +334,43 @@ class TestAlexanderAgainstScan:
         for q in (Q.conjugation(Q.dihedral_group(4)), Q.conjugation(Q.dihedral_group(6)),
                   Q.Q1, Q.Q2):
             assert assert_same_witness(q, max_order=12) is None, q.name
+
+
+class TestAlexanderDirectSearch:
+    """Each candidate is decided by the isomorphism search alone: no invariant
+    stages, no axiom check on the candidate, no repeated scan of q."""
+
+    # non-connected, so every chain of order 16 is searched: 25 candidates precede the witness
+    GROUP = Q.AbelianGroupSpec((2, 2, 4))
+    T = Q.Permutation((1, 6, 3, 8, 11, 16, 9, 14, 5, 2, 7, 4, 15, 12, 13, 10))
+
+    def test_no_are_isomorphic_call(self, monkeypatch):
+        q = Q.affine(self.GROUP, self.T)
+
+        def refuse(*args):
+            raise AssertionError("are_isomorphic called")
+
+        monkeypatch.setattr(classify_mod, "are_isomorphic", refuse)
+        w = Q.alexander_recognize(q, max_order=16)
+        monkeypatch.undo()
+        assert w == alexander_by_scan(q, max_order=16)
+        assert w is not None and w.reproduces(q)
+
+    def test_at_most_one_distributivity_scan(self, monkeypatch):
+        q = Q.affine(self.GROUP, self.T)
+        scans = []
+        scan = core_mod._distributivity_failures
+
+        def counted(t):
+            scans.append(t)
+            return scan(t)
+
+        monkeypatch.setattr(core_mod, "_distributivity_failures", counted)
+        monkeypatch.setattr(properties_mod, "_distributivity_failures", counted)
+        w = Q.alexander_recognize(q, max_order=16)
+        assert len(scans) <= 1  # q's own axiom gate, unless an earlier call cached its verdict
+        monkeypatch.undo()
+        assert w == alexander_by_scan(q, max_order=16)
 
 
 class TestLemmaSumCheck:

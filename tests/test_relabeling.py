@@ -1,5 +1,7 @@
 """Property tests: the medial test, the invariant profile, classification and
-affine recognition do not depend on how the elements of a table are labeled."""
+affine recognition do not depend on how the elements of a table are labeled;
+isomorphism mappings verify cell by cell; emit/parse and product/decompose
+round trips return what they were given."""
 
 from functools import cache
 
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import quandles as Q
 
-from conftest import alexander_by_scan, relabel
+from conftest import alexander_by_scan, is_isomorphism, relabel
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 
@@ -62,3 +64,48 @@ def test_affine_witness_survives_relabeling(data):
     w, v = Q.alexander_recognize(q), Q.alexander_recognize(r)
     assert (v.group, v.generator_images) == (w.group, w.generator_images)
     assert v == alexander_by_scan(r)
+
+
+@PROPERTY
+@given(st.data())
+def test_isomorphism_mappings_verify_cell_by_cell(data):
+    q = data.draw(st.sampled_from(members()))
+    r, s = data.draw(relabelings(q)), data.draw(relabelings(q))
+    for a, b in ((q, r), (r, s)):
+        result = Q.are_isomorphic(a, b)
+        assert result.isomorphic and is_isomorphism(a, b, result.mapping)
+
+
+# letters, JSON escapes and non-ASCII; the emitters omit an empty name
+NAMES = st.one_of(st.none(), st.text('aZ 1*"\\\n\té√🜁', min_size=1, max_size=12))
+
+
+@PROPERTY
+@given(st.data())
+def test_table_text_and_json_round_trips(data):
+    q = data.draw(st.sampled_from(members()))
+    r = Q.Quandle(q.order, data.draw(relabelings(q)).table, name=data.draw(NAMES))
+    text, as_json = Q.emit_table(r), Q.emit_table_json(r)
+    assert Q.parse_table_text(text) == r and Q.parse_table_text(text).name is None
+    assert Q.parse_table(text) == r
+    for parsed in (Q.parse_table_json(as_json), Q.parse_table(as_json)):
+        assert parsed == r and parsed.name == r.name
+
+
+PHASE_TABLES = st.tuples(*[st.tuples(*[st.integers(0, 2)] * 3)] * 3)
+
+
+@PROPERTY
+@given(PHASE_TABLES)
+def test_phase_text_round_trip(f):
+    rule = Q.PhaseRule(f)
+    assert Q.parse_phase_text(Q.emit_phase(rule)) == rule
+
+
+@PROPERTY
+@given(st.data())
+def test_product_decompose_round_trip(data):
+    base = data.draw(relabelings(data.draw(st.sampled_from(members()))))
+    rule = Q.PhaseRule(data.draw(PHASE_TABLES))
+    convention = data.draw(st.sampled_from(["xa", "ax"]))
+    assert Q.decompose3(Q.product3(base, rule, convention), convention) == (base, rule)
