@@ -225,13 +225,9 @@ def _alexander_summary(q: Quandle, budget: int):
 
 def cmd_props(args) -> int:
     q = _load_quandle(args.input)
-    flags = {
-        "involutory": props_mod.is_involutory(q),
-        "abelian": props_mod.is_abelian(q),
-        "left_distributive": props_mod.is_left_distributive(q),
-        "connected": props_mod.is_connected(q),
-        "cyclic_type": classify_mod._cyclic_type_flag(q),
-    }
+    profile = classify_mod.invariant_profile(q)
+    flags = {name: getattr(profile, name)
+             for name in ("involutory", "abelian", "left_distributive", "connected", "cyclic_type")}
     witness, budget_note = _alexander_summary(q, args.alexander_budget)
     orbit_list = inner_mod.orbits(q)
     cent_sizes = [len(props_mod.centralizer(q, a)) for a in range(1, q.order + 1)]

@@ -72,7 +72,7 @@ def swap_rule(i: int, j: int) -> PhaseRule:
 
     Idempotency forces that column to sit at the remaining phase.
     """
-    if not (0 <= i < j <= 2):
+    if type(i) is not int or type(j) is not int or not 0 <= i < j <= 2:
         raise ValueError("need 0 <= i < j <= 2")
     col = ({0, 1, 2} - {i, j}).pop()
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import islice, permutations as _permutations, product as _cartesian
-from operator import mul
+from operator import add as _plus, mul, sub as _minus
 
 DEFAULT_WITNESS_CAP = 10
 
@@ -278,11 +278,13 @@ def translations(q: Quandle) -> tuple[Permutation, ...]:
 
 def trivial(n: int) -> Quandle:
     """x > y = x for all x, y."""
+    _check_order(n)
     return Quandle(n, tuple((x,) * n for x in range(1, n + 1)), name=f"trivial({n})")
 
 
 def dihedral(n: int) -> Quandle:
     """x > y = 2y - x on Z_n, shifted to {1..n}."""
+    _check_order(n)
     rows = tuple(
         tuple((2 * (y - 1) - (x - 1)) % n + 1 for y in range(1, n + 1))
         for x in range(1, n + 1))
@@ -437,23 +439,45 @@ class AbelianGroupSpec:
         return digits[index - 1]
 
     def index_of(self, digits) -> int:
+        """The index of a digit vector, one int digit per factor, each reduced modulo it."""
+        k = len(self.cyclic_factors)
+        if not isinstance(digits, (tuple, list)) or list(map(type, digits)) != [int] * k:
+            raise ValueError(f"need {k} int digits for {self.describe()}, got {digits!r}")
+        return self._encode(digits)
+
+    def _encode(self, digits) -> int:
+        """index_of without its checks, for digits (any iterable) the group produced itself."""
         k = 0
         for f, v in zip(self.cyclic_factors, digits):
             k = k * f + (v % f)
         return k + 1
 
+    def order_of(self, i: int) -> int:
+        """The additive order of element i: the lcm of f / gcd(d, f) over its digits d."""
+        return math.lcm(*(f // math.gcd(d, f) for d, f in zip(self.tuple_of(i), self.cyclic_factors)))
+
     def add(self, i: int, j: int) -> int:
         a, b = self.tuple_of(i), self.tuple_of(j)
-        return self.index_of(tuple(x + y for x, y in zip(a, b)))
+        return self._encode(x + y for x, y in zip(a, b))
 
     def negate(self, i: int) -> int:
-        return self.index_of(tuple(-x for x in self.tuple_of(i)))
+        return self._encode(-x for x in self.tuple_of(i))
 
     def sub(self, i: int, j: int) -> int:
         return self.add(i, self.negate(j))
 
     def scale(self, k: int, i: int) -> int:
-        return self.index_of(tuple(k * x for x in self.tuple_of(i)))
+        if type(k) is not int:
+            raise ValueError(f"scalar must be an int, got {k!r}")
+        return self._encode(k * x for x in self.tuple_of(i))
+
+    def _extend(self, images) -> tuple[int, ...] | None:
+        """The image tuple of the additive map sending e_i to images[i], or None when it
+        is not a bijection: digits d map to the index of sum_i d_i * g_i, summed digit
+        by digit over the images' own digits g_i (reduced modulo each factor)."""
+        slots = tuple(zip(*map(self.tuple_of, images)))  # slots[j][i]: digit j of g_i
+        full = tuple(self._encode([sum(map(mul, d, s)) for s in slots]) for d in self._digits)
+        return full if len(set(full)) == len(full) else None
 
 
 def validate_automorphism(group: AbelianGroupSpec, t: Permutation) -> None:
@@ -463,7 +487,7 @@ def validate_automorphism(group: AbelianGroupSpec, t: Permutation) -> None:
     if t.degree != group.order:
         raise ValueError(f"map degree {t.degree} does not match group order {group.order}")
     images = tuple(t(group.index_of([int(i == j) for j in range(len(fs))])) for i in range(len(fs)))
-    if any(group.scale(f, g) != group.zero for f, g in zip(fs, images)) or _extender(group)(images) != t.images:
+    if any(f % group.order_of(g) for f, g in zip(fs, images)) or group._extend(images) != t.images:
         raise ValueError(f"not additive: generator images {images} do not extend to this map")
 
 
@@ -475,44 +499,23 @@ def automorphism_from_images(group: AbelianGroupSpec, images) -> Permutation:
     map is not bijective.
     """
     factors = group.cyclic_factors
-    images = tuple(images)
-    if len(images) != len(factors):
-        raise ValueError(f"expected {len(factors)} generator images, got {len(images)}")
+    if not isinstance(images, (tuple, list)) or len(images) != len(factors):
+        raise ValueError(f"expected a tuple or list of {len(factors)} generator images, got {images!r}")
     for pos, (f, img) in enumerate(zip(factors, images), start=1):
-        if group.scale(f, img) != group.zero:  # scale rejects a bad index
+        if f % group.order_of(img):  # order_of rejects a bad index
             raise ValueError(
                 f"image of generator {pos} has order not dividing {f}: not additive")
-    full = _extender(group)(images)
+    full = group._extend(images)
     if full is None:
         raise ValueError("generator images do not extend to a bijection")
     return Permutation(full)
 
 
-def _extender(group: AbelianGroupSpec):
-    """Return a function taking generator images (t(e_1), ..., t(e_k)) to the
-    image tuple of the additive map t, or to None when t is not a bijection.
-
-    An element with digits d maps to index_of(sum_i d_i * g_i), summed digit
-    by digit over the images' own digits g_i (index_of reduces modulo each
-    factor).
-    """
-    elements, index_of = group._digits, group.index_of
-    n = len(elements)
-
-    def extend(images) -> tuple[int, ...] | None:
-        slots = tuple(zip(*(group.tuple_of(g) for g in images)))  # slots[j][i]: digit j of g_i
-        full = tuple(index_of([sum(map(mul, d, s)) for s in slots]) for d in elements)
-        return full if len(set(full)) == n else None
-
-    return extend
-
-
 def scalar_automorphism(group: AbelianGroupSpec, r: int) -> Permutation:
     """x -> r*x; raises when r is not an int or not a unit for the group."""
-    if type(r) is not int:
-        raise ValueError(f"scalar must be an int, got {r!r}")
+    images = tuple(group.scale(r, i) for i in range(1, group.order + 1))
     try:
-        return Permutation(tuple(group.scale(r, i) for i in range(1, group.order + 1)))
+        return Permutation(images)
     except ValueError:
         raise ValueError(f"{r} is not a unit for {group.describe()}") from None
 
@@ -532,9 +535,8 @@ def affine(group: AbelianGroupSpec, t: Permutation) -> Quandle:
     is verified here, bijectivity is inherent in the type.
     """
     validate_automorphism(group, t)
-    n = group.order
-    shear = tuple(group.sub(y, t(y)) for y in range(1, n + 1))  # (1-t)(y)
-    rows = tuple(
-        tuple(group.add(t(x), shear[y - 1]) for y in range(1, n + 1))
-        for x in range(1, n + 1))
-    return Quandle(n, rows, name=f"affine({group.describe()})")
+    digits, encode = group._digits, group._encode
+    tx = [digits[v - 1] for v in t.images]  # t(x)'s digits
+    shear = [tuple(map(_minus, d, e)) for d, e in zip(digits, tx)]  # (1-t)(y)'s digits, unreduced
+    rows = tuple(tuple(encode(map(_plus, a, s)) for s in shear) for a in tx)
+    return Quandle(group.order, rows, name=f"affine({group.describe()})")

@@ -3,7 +3,6 @@ connectivity, cyclic type, affine recognition, and centralizers."""
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -18,7 +17,6 @@ from .core import (
     _check_element,
     _check_order,
     _distributivity_failures,
-    _extender,
     affine,
     automorphism_from_images,
     check_axioms,
@@ -127,13 +125,10 @@ def abelian_group_specs(n: int) -> tuple[AbelianGroupSpec, ...]:
 def enumerate_automorphisms(group: AbelianGroupSpec):
     """Yield (permutation, generator_images) for every automorphism, in
     lexicographic order of the image tuple."""
-    candidates = [
-        tuple(g for g in range(1, group.order + 1) if group.scale(f, g) == group.zero)
-        for f in group.cyclic_factors
-    ]
-    extend = _extender(group)
+    candidates = [tuple(g for g in range(1, group.order + 1) if f % group.order_of(g) == 0)
+                  for f in group.cyclic_factors]
     for images in _cartesian(*candidates):
-        full = extend(images)
+        full = group._extend(images)
         if full is not None:
             yield Permutation(full), images
 
@@ -194,9 +189,7 @@ def alexander_recognize(q: Quandle, max_order: int = 15) -> AffineWitness | None
     gens = _displacements(q)
     if len({g[0] for g in gens}) == q.order:  # Dis(q) is transitive, so regular: gens is all of it
         dis_counts = Counter(Permutation(tuple(v + 1 for v in g)).order() for g in gens)
-        groups = [g for g in groups if dis_counts == Counter(
-            math.lcm(*(f // math.gcd(d, f) for d, f in zip(g.tuple_of(i), g.cyclic_factors)))
-            for i in range(1, q.order + 1))]
+        groups = [g for g in groups if dis_counts == Counter(map(g.order_of, q.elements()))]
     for group in groups:
         for t, images in enumerate_automorphisms(group):
             if t.cycle_type() not in cycle_types:

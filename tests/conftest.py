@@ -269,3 +269,22 @@ def digits_by_division(group, index):
         digits.append(k % f)
         k //= f
     return tuple(reversed(digits))
+
+
+def affine_by_add(group, t):
+    """The library's former affine, verbatim: one AbelianGroupSpec.add per cell."""
+    Q.validate_automorphism(group, t)
+    n = group.order
+    shear = tuple(group.sub(y, t(y)) for y in range(1, n + 1))  # (1-t)(y)
+    rows = tuple(
+        tuple(group.add(t(x), shear[y - 1]) for y in range(1, n + 1))
+        for x in range(1, n + 1))
+    return Q.Quandle(n, rows, name=f"affine({group.describe()})")
+
+
+def order_by_scaling(group, i):
+    """The least k >= 1 with k*i = 0, found by scaling i by 1, 2, 3, ..."""
+    k = 1
+    while group.scale(k, i) != group.zero:
+        k += 1
+    return k

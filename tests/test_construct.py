@@ -51,6 +51,11 @@ class TestValidateRule:
         with pytest.raises(ValueError, match="out of range"):
             Q.rule_from_table([[0, 0, 3], [1, 1, 1], [2, 2, 2]])
 
+    @pytest.mark.parametrize("i,j", [("0", 1), (0, "1"), (True, 2), (0, 2.0), (1, 0)])
+    def test_swap_rule_takes_int_phases(self, i, j):
+        with pytest.raises(ValueError, match=r"^need 0 <= i < j <= 2$"):
+            Q.swap_rule(i, j)
+
     def test_bool_phase_entry_rejected(self):
         with pytest.raises(ValueError, match="phase entry True at \\(1,0\\)"):
             Q.PhaseRule(((0, 0, 0), (True, True, True), (2, 2, 2)))

@@ -5,7 +5,8 @@ from itertools import permutations
 import pytest
 
 import quandles as Q
-from conftest import additive_by_pairs, axioms_by_scan, digits_by_division
+from conftest import (additive_by_pairs, affine_by_add, axioms_by_scan, digits_by_division,
+                      order_by_scaling)
 
 
 class TestPermutation:
@@ -234,6 +235,11 @@ class TestFamilies:
         with pytest.raises(ValueError):
             Q.dihedral(0)
 
+    @pytest.mark.parametrize("family,n", [(Q.trivial, "3"), (Q.dihedral, 2.0), (Q.trivial, True)])
+    def test_non_int_order_rejected(self, family, n):
+        with pytest.raises(ValueError, match=f"^order must be >= 1, got {n!r}$"):
+            family(n)
+
     def test_column_fixes_own_index(self, battery):
         # idempotency restated: R_y(y) = y
         for q in battery.values():
@@ -361,6 +367,38 @@ class TestAbelianGroupSpec:
         with pytest.raises(ValueError, match=r"element index .* out of range 1\.\.4$"):
             getattr(Q.AbelianGroupSpec((4,)), method)(*args)
 
+    @pytest.mark.parametrize("digits", [(1,), (1, 2, 0), ("a", 1), (True, 1), (1.0, 2), [1], 5, "12"])
+    def test_index_of_rejects_malformed_digits(self, digits):
+        g = Q.AbelianGroupSpec((2, 3))
+        with pytest.raises(ValueError, match=r"^need 2 int digits for Z2 x Z3, got "):
+            g.index_of(digits)
+
+    def test_index_of_reduces_each_digit(self):
+        g = Q.AbelianGroupSpec((2, 3))
+        assert g.index_of((-1, -1)) == g.index_of([1, 2]) == g.index_of((3, 5)) == 6
+        assert Q.AbelianGroupSpec(()).index_of(()) == 1
+
+    @pytest.mark.parametrize("k", [2.5, True, "2", None])
+    def test_scale_rejects_non_int_scalar(self, k):
+        g = Q.AbelianGroupSpec((2, 3))
+        message = f"^scalar must be an int, got {k!r}$"
+        with pytest.raises(ValueError, match=message):
+            g.scale(k, 2)
+        with pytest.raises(ValueError, match=message):
+            Q.scalar_automorphism(g, k)
+
+    def test_order_of_equals_scaling(self):
+        groups = [g for n in range(1, 33) for g in Q.abelian_group_specs(n)]
+        assert Q.AbelianGroupSpec(()) in groups
+        for g in groups:
+            assert [g.order_of(i) for i in range(1, g.order + 1)] == [
+                order_by_scaling(g, i) for i in range(1, g.order + 1)], g.describe()
+
+    @pytest.mark.parametrize("i", [0, 5, True, 2.0])
+    def test_order_of_rejects_bad_index(self, i):
+        with pytest.raises(ValueError, match=r"element index .* out of range 1\.\.4$"):
+            Q.AbelianGroupSpec((4,)).order_of(i)
+
     def test_cached_digits_are_invisible(self):
         g, fresh = Q.AbelianGroupSpec((2, 3)), Q.AbelianGroupSpec((2, 3))
         before = (repr(g), hash(g))
@@ -443,3 +481,29 @@ class TestAffine:
     def test_bool_generator_image_rejected(self):
         with pytest.raises(ValueError, match="element index True out of range"):
             Q.automorphism_from_images(Q.AbelianGroupSpec((3,)), (True,))
+
+    @pytest.mark.parametrize("images", [5, None, "1", {1: 2}])
+    def test_generator_images_not_a_sequence_rejected(self, images):
+        with pytest.raises(ValueError, match="^expected a tuple or list of 1 generator images, got "):
+            Q.automorphism_from_images(Q.AbelianGroupSpec((3,)), images)
+
+    # every abelian group of order <= 12, and factor lists that are not invariant factor chains
+    @pytest.mark.parametrize("factors", [g.cyclic_factors for n in range(1, 13)
+                                         for g in Q.abelian_group_specs(n)] + [(2, 3), (3, 2), (4, 2)])
+    def test_affine_equals_cellwise_add(self, factors):
+        g = Q.AbelianGroupSpec(factors)
+        for t, _ in Q.enumerate_automorphisms(g):
+            q, ref = Q.affine(g, t), affine_by_add(g, t)
+            assert q == ref and q.name == ref.name, t
+
+    def test_affine_adds_no_cell_by_cell(self, monkeypatch):
+        g = Q.AbelianGroupSpec((2, 6))
+        t = Q.automorphism_from_images(g, (g.index_of((1, 3)), g.index_of((0, 5))))
+        expected = affine_by_add(g, t)
+
+        def refuse(*args):
+            raise AssertionError("affine() called AbelianGroupSpec.add or sub")
+
+        monkeypatch.setattr(Q.AbelianGroupSpec, "add", refuse)
+        monkeypatch.setattr(Q.AbelianGroupSpec, "sub", refuse)
+        assert Q.affine(g, t) == expected
