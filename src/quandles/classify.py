@@ -256,7 +256,9 @@ def all_quandle_tables(n: int) -> tuple[Quandle, ...]:
     """Every labeled order-n quandle, by backtracking over columns.
 
     Idempotency and column bijectivity are built in (column y is a permutation
-    fixing y); self-distributivity prunes as soon as a triple is refutable.
+    fixing y); self-distributivity prunes as soon as a triple is refutable. Once
+    columns y and z are placed, column y>z is forced to R_z R_y R_z^-1, so it is
+    the only candidate tried: every other one fails the same triples.
     """
     _check_order(n)
     col_candidates = []
@@ -289,12 +291,23 @@ def all_quandle_tables(n: int) -> tuple[Quandle, ...]:
                         return False
         return True
 
+    def forced(k: int) -> list[tuple[int, ...]] | None:
+        # column k+1 as R_z R_y R_z^-1 for the first placed z, y with y > z = k+1
+        for cz in cols:
+            y = cz.index(k + 1)
+            if y < k:
+                cy, inv = cols[y], [0] * n
+                for x, v in enumerate(cz):
+                    inv[v - 1] = x
+                return [tuple(cz[cy[i] - 1] for i in inv)]
+        return None
+
     def rec(k: int) -> None:
         if k == n:
             rows = tuple(tuple(cols[y][x] for y in range(n)) for x in range(n))
             out.append(Quandle(n, rows))
             return
-        for cand in col_candidates[k]:
+        for cand in forced(k) or col_candidates[k]:
             cols.append(cand)
             if consistent(k + 1):
                 rec(k + 1)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import islice, permutations as _permutations, product as _cartesian
-from operator import add as _plus, mul, sub as _minus
+from operator import add as _plus, itemgetter, mul, sub as _minus
 
 DEFAULT_WITNESS_CAP = 10
 
@@ -133,6 +133,39 @@ class Quandle:
     def elements(self) -> range:
         return range(1, self.order + 1)
 
+    # Derived data, computed at most once per instance; ==, hash and repr ignore it.
+
+    @cached_property
+    def _generators(self) -> tuple[int, ...]:
+        """A greedy generating set under >, 0-based: each member is the least element
+        outside the closure under > of the members before it."""
+        t = self.table
+        inside = [False] * self.order
+        closed: list[int] = []  # the closure so far, in the order it grew
+        gens = []
+        for s in range(self.order):
+            if inside[s]:
+                continue
+            gens.append(s)
+            inside[s] = True
+            closed.append(s)
+            i = len(closed) - 1
+            while i < len(closed):  # combine each new element with itself and those before it
+                e = closed[i]
+                row = t[e]
+                for d in closed[:i + 1]:
+                    for v in (row[d], t[d][e]):
+                        if not inside[v - 1]:
+                            inside[v - 1] = True
+                            closed.append(v - 1)
+                i += 1
+        return tuple(gens)
+
+    @cached_property
+    def _medial(self) -> bool:
+        """The medial verdict (see _is_medial); meaningful once the axioms hold."""
+        return _is_medial(self)
+
 
 def _check_order(n, what: str = "order") -> None:
     if type(n) is not int or n < 1:
@@ -200,7 +233,10 @@ def check_axioms(q: Quandle, witness_cap: int | None = DEFAULT_WITNESS_CAP) -> A
     """Check idempotency, column bijectivity, and right self-distributivity.
 
     Witness collection stops at witness_cap per axiom; pass None for an
-    exhaustive witness list. The verdicts themselves are always exact.
+    exhaustive witness list. The verdicts themselves are always exact. With
+    every column bijective, self-distributivity is decided on a generating set
+    (_generators_distribute); the lexicographic triple scan runs only when that
+    fails or a column is not bijective, and supplies the witnesses.
     """
     if witness_cap is not None:
         _check_order(witness_cap, "witness_cap")
@@ -208,7 +244,10 @@ def check_axioms(q: Quandle, witness_cap: int | None = DEFAULT_WITNESS_CAP) -> A
     idem = tuple(islice((x for x in range(1, n + 1) if t[x - 1][x - 1] != x), witness_cap))
     repeats = ((y, _first_repeat(col)) for y, col in enumerate(zip(*t), start=1))
     cols = tuple(islice(((y, r[0], r[1]) for y, r in repeats if r), witness_cap))
-    triples = tuple(islice(_distributivity_failures(t), witness_cap))
+    if not cols and _generators_distribute(q):
+        triples = ()
+    else:  # the scan finds the witnesses, in lexicographic order
+        triples = tuple(islice(_distributivity_failures(t), witness_cap))
     return AxiomReport(
         idempotency=AxiomVerdict(not idem, idem),
         right_invertibility=AxiomVerdict(not cols, cols),
@@ -225,6 +264,62 @@ def _first_repeat(col) -> tuple[int, int, int] | None:
         if a != b:
             return a, b, v
     return None
+
+
+def _columns(q: Quandle) -> list[tuple[int, ...]]:
+    """0-based columns: _columns(q)[y][x] = (x+1 > y+1) - 1, so column y is R_{y+1}."""
+    return [tuple(v - 1 for v in col) for col in zip(*q.table)]
+
+
+def _displacements(q: Quandle) -> list[tuple[int, ...]]:
+    """g_x = R_x R_1^-1 for each x, generating Dis(q), as 0-based image tuples in
+    element order (g_1 is the identity). Meaningful once the columns are bijective."""
+    cols = _columns(q)
+    r1_inv = sorted(range(q.order), key=cols[0].__getitem__)  # argsort inverts R_1
+    return [tuple(map(col.__getitem__, r1_inv)) for col in cols]
+
+
+def _generators_distribute(q: Quandle) -> bool:
+    """Self-distributivity of a table with bijective columns, decided on a generating set.
+
+    (x>y)>z = (x>z)>(y>z) for all x, y says R_z R_y = R_{y>z} R_z for every y: R_z is
+    an endomorphism. If R_a and R_b are bijective endomorphisms, R_{a>b} = R_b R_a R_b^-1
+    is one too, so the z with R_z an endomorphism are closed under >, and checking z in
+    q._generators decides every z. Each check compares whole composed columns, in
+    O(n^2) per generator; an identity R_z is an endomorphism and is skipped.
+    """
+    cols = _columns(q)
+    identity = tuple(range(q.order))
+    after = [itemgetter(*c) for c in cols]  # after[y](c) is the column c composed with R_y
+    for s in q._generators:
+        cs, after_s = cols[s], after[s]
+        if cs != identity and any(after[y](cs) != after_s(cols[w]) for y, w in enumerate(cs)):
+            return False
+    return True
+
+
+def _is_medial(q: Quandle) -> bool:
+    """The medial identity (w>x)>(y>z) = (w>y)>(x>z) of a quandle, decided as "Dis(q)
+    is abelian" (Jedlicka, Pilitowska, Stanovsky, Zamojska-Dzienio, "The structure of
+    medial quandles", J. Algebra 2015), where Dis(q) is generated by g_x = R_x R_1^-1.
+
+    It suffices that g_s is central for each s in q._generators. Let C be the set of y
+    with g_y central in Dis(q). For y, z in C, g_{y>z} = g_z g_{y>1} g_{z>1}^-1 (from
+    R_{y>z} = R_z R_y R_z^-1), and g_{w>1} = R_1 g_w R_1^-1 is central whenever g_w is,
+    since Dis(q) is normal in Inn(q). So C is closed under >, contains the generators,
+    and is all of q. That costs O(|S| k n) for the generators S and k distinct g_x.
+    With k <= 2 the group is cyclic (g_1 is the identity), hence abelian.
+    """
+    g = _displacements(q)
+    distinct = dict.fromkeys(g)
+    if len(distinct) <= 2:
+        return True
+    after = [(h, itemgetter(*h)) for h in distinct]  # (h, f -> f composed with h)
+    for s in q._generators:
+        after_s = itemgetter(*g[s])
+        if any(after_h(g[s]) != after_s(h) for h, after_h in after):
+            return False
+    return True
 
 
 def _distributivity_failures(t):
@@ -483,6 +578,10 @@ class AbelianGroupSpec:
 def validate_automorphism(group: AbelianGroupSpec, t: Permutation) -> None:
     """Raise unless t is additive: its images of the canonical generators have orders
     dividing their factors, and the additive map they define is t."""
+    if not isinstance(group, AbelianGroupSpec):
+        raise ValueError(f"group must be an AbelianGroupSpec, got {group!r}")
+    if not isinstance(t, Permutation):
+        raise ValueError(f"automorphism must be a Permutation, got {t!r}")
     fs = group.cyclic_factors
     if t.degree != group.order:
         raise ValueError(f"map degree {t.degree} does not match group order {group.order}")

@@ -167,6 +167,54 @@ def left_distributive_by_scan(q):
     return True
 
 
+def all_quandle_tables_by_columns(n):
+    """The library's former all_quandle_tables, verbatim: every labeled order-n
+    quandle by backtracking over all candidate columns, with no forced column."""
+    col_candidates = []
+    for y in range(1, n + 1):
+        rest = [v for v in range(1, n + 1) if v != y]
+        cands = []
+        for perm in permutations(rest):
+            col = [0] * n
+            col[y - 1] = y
+            for pos, v in zip(rest, perm):
+                col[pos - 1] = v
+            cands.append(tuple(col))
+        col_candidates.append(cands)
+
+    cols = []
+    out = []
+
+    def consistent(k):
+        # (x>y)>z == (x>z)>(y>z) for every triple that column k completed
+        for y in range(1, k + 1):
+            cy = cols[y - 1]
+            for z in range(1, k + 1):
+                cz = cols[z - 1]
+                w = cz[y - 1]
+                if w > k or (y != k and z != k and w != k):
+                    continue
+                cw = cols[w - 1]
+                for x in range(n):
+                    if cz[cy[x] - 1] != cw[cz[x] - 1]:
+                        return False
+        return True
+
+    def rec(k):
+        if k == n:
+            rows = tuple(tuple(cols[y][x] for y in range(n)) for x in range(n))
+            out.append(Q.Quandle(n, rows))
+            return
+        for cand in col_candidates[k]:
+            cols.append(cand)
+            if consistent(k + 1):
+                rec(k + 1)
+            cols.pop()
+
+    rec(0)
+    return tuple(out)
+
+
 def is_isomorphism(q1, q2, phi):
     """Check a mapping cell by cell: a bijection with phi(x>y) = phi(x)>phi(y)."""
     n = q1.order

@@ -5,7 +5,7 @@ import pytest
 
 import quandles as Q
 
-from conftest import brute_isomorphic, is_isomorphism, relabel
+from conftest import all_quandle_tables_by_columns, brute_isomorphic, is_isomorphism, relabel
 import quandles.classify as classify_mod
 from quandles.classify import _STAGES
 
@@ -184,6 +184,10 @@ class TestCensus:
         assert len(Q.census(4)) == len(classes) == 7
         members = [c.members for c in Q.classify_family(labeled)]
         assert sorted(members) == sorted(tuple(c) for c in classes)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_forced_columns_give_the_same_sequence(self, n):
+        assert Q.all_quandle_tables(n) == all_quandle_tables_by_columns(n)
 
     def test_labeled_count_order_3(self):
         assert len(Q.all_quandle_tables(3)) == 5

@@ -1,10 +1,12 @@
 import dataclasses
 import random
-from itertools import permutations
+from functools import cache
+from itertools import permutations, product
 
 import pytest
 
 import quandles as Q
+import quandles.core as core_mod
 from conftest import (additive_by_pairs, affine_by_add, axioms_by_scan, digits_by_division,
                       order_by_scaling)
 
@@ -169,6 +171,62 @@ class TestCheckAxiomsOracle:
         assert any(not Q.check_axioms(q).self_distributivity.ok for q in tables[:40])
         for q in tables:
             assert Q.check_axioms(q, witness_cap=cap) == axioms_by_scan(q, witness_cap=cap), q.table
+
+
+@cache
+def _bijective_column_tables():
+    """Magmas whose columns are all bijections: every one of order <= 3, a seeded
+    sample of orders 2-7, and the labeled quandles of order 3-5 with two columns
+    swapped."""
+    tables = [Q.from_table(n, zip(*cols)) for n in (1, 2, 3)
+              for cols in product(permutations(range(1, n + 1)), repeat=n)]
+    rng = random.Random(11)
+    for _ in range(1500):
+        n = rng.randint(2, 7)
+        tables.append(Q.from_table(n, zip(*(rng.sample(range(1, n + 1), n) for _ in range(n)))))
+    for n in (3, 4, 5):
+        for q in Q.all_quandle_tables(n):
+            a, b = rng.sample(range(n), 2)
+            cols = list(zip(*q.table))
+            cols[a], cols[b] = cols[b], cols[a]
+            tables.append(Q.from_table(n, zip(*cols)))
+    return tables
+
+
+class TestGeneratorVerdict:
+    """Self-distributivity decided on a generating set, against the triple scan."""
+
+    def test_verdict_equals_the_scan(self):
+        tables = _bijective_column_tables()
+        verdicts = [core_mod._generators_distribute(q) for q in tables]
+        assert verdicts == [next(core_mod._distributivity_failures(q.table), None) is None
+                            for q in tables]
+        assert sum(verdicts) > 100 and not all(verdicts)
+
+    @pytest.mark.parametrize("cap", [None, 1, 3])
+    def test_reports_equal_the_per_axiom_loops(self, cap):
+        for q in _bijective_column_tables()[::7]:
+            assert Q.check_axioms(q, witness_cap=cap) == axioms_by_scan(q, witness_cap=cap), q.table
+
+    def test_generators_generate(self):
+        for q in [Q.dihedral(9), Q.trivial(4), Q.Q1, Q.Q2, Q.conjugation(Q.symmetric_group(4))]:
+            closure = {s + 1 for s in q._generators}
+            while (grown := closure | {q.entry(x, y) for x in closure for y in closure}) != closure:
+                closure = grown
+            assert closure == set(q.elements()), q.name
+        assert Q.dihedral(9)._generators == (0, 1) and Q.trivial(4)._generators == (0, 1, 2, 3)
+
+    def test_passing_table_is_never_scanned(self, monkeypatch, battery):
+        def refuse(t):
+            raise AssertionError("the triple scan ran on a passing table")
+
+        monkeypatch.setattr(core_mod, "_distributivity_failures", refuse)
+        tables = list(battery.values()) + [Q.dihedral(45), Q.trivial(20),
+                                           Q.conjugation(Q.symmetric_group(4)),
+                                           Q.product3(Q.dihedral(5), Q.named_rules()["swap01"])]
+        tables += Q.all_quandle_tables(4)
+        for q in tables:
+            assert Q.check_axioms(q, witness_cap=None).overall, q.table
 
 
 class TestApplyAndDual:
@@ -429,6 +487,20 @@ class TestAffine:
     def test_non_int_scalar_rejected(self, r):
         with pytest.raises(ValueError):
             Q.scalar_automorphism(Q.AbelianGroupSpec((4,)), r)
+
+    def test_image_tuple_rejected_by_affine(self):
+        g = Q.AbelianGroupSpec((3,))
+        with pytest.raises(ValueError, match=r"^automorphism must be a Permutation, got \(1, 3, 2\)$"):
+            Q.affine(g, (1, 3, 2))
+
+    def test_image_tuple_rejected_by_validation(self):
+        g = Q.AbelianGroupSpec((3,))
+        with pytest.raises(ValueError, match=r"^automorphism must be a Permutation, got \(1, 3, 2\)$"):
+            Q.validate_automorphism(g, (1, 3, 2))
+
+    def test_factor_tuple_rejected_as_group(self):
+        with pytest.raises(ValueError, match=r"^group must be an AbelianGroupSpec, got \(3,\)$"):
+            Q.affine((3,), Q.Permutation((1, 3, 2)))
 
     def test_non_additive_rejected(self):
         g = Q.AbelianGroupSpec((4,))

@@ -73,6 +73,31 @@ class TestAbelian:
         for q in named:
             assert Q.is_abelian(q) == medial_by_scan(q), q.name
 
+    def test_agrees_with_scan_on_products_of_census_bases(self):
+        bases = [q for n in (3, 4) for q in Q.census(n)]
+        products = [Q.product3(b, r, conv) for b in bases for r in Q.enumerate_phase_rules()
+                    for conv in ("xa", "ax")]
+        verdicts = [Q.is_abelian(q) for q in products]
+        assert verdicts == [medial_by_scan(q) for q in products]
+        assert True in verdicts and False in verdicts
+
+    def test_verdict_computed_once_per_table(self, monkeypatch):
+        calls = []
+        real = core_mod._is_medial
+        monkeypatch.setattr(core_mod, "_is_medial", lambda q: calls.append(q) or real(q))
+        q, twin = Q.conjugation(Q.symmetric_group(4)), Q.conjugation(Q.symmetric_group(4))
+        for table in (q, q, twin):
+            Q.is_abelian(table)
+            Q.is_left_distributive(table)
+            classify_mod.invariant_profile(table)
+        assert [id(t) for t in calls] == [id(q), id(twin)]
+
+    def test_cached_verdict_is_invisible(self):
+        q, fresh = Q.dihedral(6), Q.dihedral(6)
+        before = (repr(q), hash(q))
+        assert Q.is_abelian(q) and "_medial" in vars(q)
+        assert q == fresh and (repr(q), hash(q)) == before == (repr(fresh), hash(fresh))
+
 
 class TestLeftDistributive:
     def test_dihedral_3(self):
@@ -85,6 +110,15 @@ class TestLeftDistributive:
         for name, q in battery.items():
             if Q.is_abelian(q):
                 assert Q.is_left_distributive(q), name
+
+    def test_medial_table_is_never_scanned(self, monkeypatch):
+        def refuse(t):
+            raise AssertionError("is_left_distributive scanned a medial table")
+
+        monkeypatch.setattr(properties_mod, "_distributivity_failures", refuse)
+        tables = [q for n in range(1, 5) for q in Q.all_quandle_tables(n) if medial_by_scan(q)]
+        tables += [Q.dihedral(45), Q.trivial(20), Q.product3(Q.dihedral(5), Q.named_rules()["dihedral"])]
+        assert all(Q.is_left_distributive(q) for q in tables)
 
     def test_agrees_with_scan(self):
         tables = [q for n in range(1, 6) for q in Q.all_quandle_tables(n)]
