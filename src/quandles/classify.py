@@ -3,14 +3,14 @@ classification, and a small-order census."""
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, fields
 from itertools import permutations as _permutations
+from operator import eq
 
-from .core import Permutation, Quandle, _check_order, translations
-from .inner import orbits
+from .core import Permutation, Quandle, _check_order, translations  # noqa: F401 (perfbench traces it here)
 from .properties import (
-    centralizer,
     ensure_quandle,
     is_abelian,
     is_connected,
@@ -23,20 +23,15 @@ CENSUS_CAP = 6
 
 
 def _spectrum(q: Quandle) -> tuple[tuple[int, int], ...]:
-    counts = Counter(p.order() for p in translations(q))
+    counts: Counter = Counter()
+    for orbit in q._orbits:  # one cycle type, so one order, per orbit
+        counts[math.lcm(*q._types[orbit[0] - 1])] += len(orbit)
     return tuple(sorted(counts.items()))
 
 
-def _cycle_types(q: Quandle) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(p.cycle_type() for p in translations(q)))
-
-
-def _orbit_sizes(q: Quandle) -> tuple[int, ...]:
-    return tuple(sorted(len(o) for o in orbits(q)))
-
-
 def _centralizer_sizes(q: Quandle) -> tuple[int, ...]:
-    return tuple(sorted(len(centralizer(q, a)) for a in range(1, q.order + 1)))
+    # |centralizer(q, a)| counts the x with x>a = a>x: column a against row a
+    return tuple(sorted(sum(map(eq, row, col)) for row, col in zip(q.table, zip(*q.table))))
 
 
 def _cyclic_type_flag(q: Quandle) -> bool:
@@ -58,8 +53,8 @@ def _fmt_plain(v) -> str:
 _STAGES = (
     ("order", lambda q: q.order, _fmt_plain),
     ("generator order spectrum", _spectrum, format_spectrum),
-    ("generator cycle types", _cycle_types, _fmt_plain),
-    ("orbit sizes", _orbit_sizes, _fmt_plain),
+    ("generator cycle types", lambda q: tuple(sorted(q._types)), _fmt_plain),
+    ("orbit sizes", lambda q: tuple(sorted(map(len, q._orbits))), _fmt_plain),
     ("centralizer sizes", _centralizer_sizes, _fmt_plain),
     ("involutory", is_involutory, _fmt_plain),
     ("abelian", is_abelian, _fmt_plain),
@@ -123,12 +118,12 @@ def _search_isomorphism(q1: Quandle, q2: Quandle) -> Permutation | None:
     Seeds are assigned rarest cycle type first; candidate images share the
     translation cycle type and are tried in ascending element order. Each
     assignment is closed under the table operation, so conflicts surface
-    early. A mapping found is re-verified against both tables.
+    early. A mapping found is re-verified against both tables. Both tables must
+    satisfy the axioms: the cycle types are read per orbit (Quandle._types).
     """
     n = q1.order
     t1, t2 = q1.table, q2.table
-    type1 = [None] + [p.cycle_type() for p in translations(q1)]
-    type2 = [None] + [p.cycle_type() for p in translations(q2)]
+    type1, type2 = [None, *q1._types], [None, *q2._types]
     buckets: dict[tuple, list[int]] = {}
     for u in range(1, n + 1):
         buckets.setdefault(type2[u], []).append(u)
@@ -142,15 +137,18 @@ def _search_isomorphism(q1: Quandle, q2: Quandle) -> Permutation | None:
     assigned: list[int] = []
 
     def propagate(start: int) -> bool:
+        # Each unordered pair of assigned elements is checked once, both products, when the
+        # later one is reached; pairs below start were closed by an earlier call, and no
+        # rollback cuts into them. Each value set is forced, phi(x>y) = phi(x)>phi(y), so any
+        # visiting order gives the same closure, phi and verdict: the search is unchanged.
         qi = start
         while qi < len(assigned):
             e = assigned[qi]
-            di = 0
-            while di < len(assigned):
-                d = assigned[di]
-                for x, y in ((e, d), (d, e)):
-                    w = t1[x - 1][y - 1]
-                    w2 = t2[phi[x] - 1][phi[y] - 1]
+            pe = phi[e]
+            row1, row2 = t1[e - 1], t2[pe - 1]
+            for d in assigned[:qi + 1]:
+                pd = phi[d]
+                for w, w2 in ((row1[d - 1], row2[pd - 1]), (t1[d - 1][e - 1], t2[pd - 1][pe - 1])):
                     pw = phi[w]
                     if pw:
                         if pw != w2:
@@ -161,7 +159,6 @@ def _search_isomorphism(q1: Quandle, q2: Quandle) -> Permutation | None:
                         phi[w] = w2
                         used[w2] = True
                         assigned.append(w)
-                di += 1
             qi += 1
         return True
 

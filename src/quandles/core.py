@@ -35,9 +35,7 @@ class Permutation:
         if type(self.images) is not tuple:
             raise ValueError(f"permutation images must be a tuple, got {self.images!r}")
         n = len(self.images)
-        ordered = sorted(self.images)
-        # once the values are 1..n, only the one equal to 1 can be a bool (True)
-        if ordered != list(range(1, n + 1)) or (n and type(ordered[0]) is not int):
+        if not {*map(type, self.images)} <= {int} or sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection on 1..{n}: {self.images}")
 
     @staticmethod
@@ -96,8 +94,7 @@ class Permutation:
     @cached_property
     def _cycle_type(self) -> tuple[int, ...]:
         # computed once per instance; the dataclass fields, ==, hash and repr ignore it
-        lengths = sorted(map(len, self.cycles()), reverse=True)
-        return tuple(lengths) + (1,) * (self.degree - sum(lengths))
+        return _cycle_type_of(self.images)
 
     def cycle_string(self) -> str:
         """Render like ``(7,10), (8,11), (9,12)``; the identity renders as ``(1)``."""
@@ -105,6 +102,21 @@ class Permutation:
         if not cycs:
             return "(1)"
         return ", ".join("(" + ",".join(str(e) for e in c) + ")" for c in cycs)
+
+
+def _cycle_type_of(images) -> tuple[int, ...]:
+    """The cycle lengths of a 1-based image tuple, descending, fixed points included."""
+    seen = [False] * (len(images) + 1)
+    lengths = []
+    for start in range(1, len(seen)):
+        if not seen[start]:
+            k, x = 0, start
+            while not seen[x]:
+                seen[x] = True
+                x = images[x - 1]
+                k += 1
+            lengths.append(k)
+    return tuple(sorted(lengths, reverse=True))
 
 
 @dataclass(frozen=True, repr=False)
@@ -160,6 +172,33 @@ class Quandle:
                             closed.append(v - 1)
                 i += 1
         return tuple(gens)
+
+    @cached_property
+    def _orbits(self) -> tuple[tuple[int, ...], ...]:
+        """Orbits of the translation group, each ascending, sorted by least element: with
+        bijective columns the group is finite, and x's orbit is its closure under row x."""
+        t, placed, out = self.table, set(), []
+        for x in range(1, self.order + 1):
+            if x not in placed:
+                orbit, frontier = {x}, [x]
+                while frontier:
+                    new = set(t[frontier.pop() - 1]) - orbit
+                    orbit |= new
+                    frontier.extend(new)
+                placed |= orbit
+                out.append(tuple(sorted(orbit)))
+        return tuple(out)
+
+    @cached_property
+    def _types(self) -> tuple[tuple[int, ...], ...]:
+        """The cycle type of each R_y, read once per orbit off its least element; once the
+        axioms hold, R_{y>z} = R_z R_y R_z^-1 makes an orbit's translations conjugate."""
+        types: list = [None] * self.order
+        for orbit in self._orbits:
+            ct = _cycle_type_of(tuple(map(itemgetter(orbit[0] - 1), self.table)))
+            for y in orbit:
+                types[y - 1] = ct
+        return tuple(types)
 
     @cached_property
     def _medial(self) -> bool:
@@ -242,8 +281,9 @@ def check_axioms(q: Quandle, witness_cap: int | None = DEFAULT_WITNESS_CAP) -> A
         _check_order(witness_cap, "witness_cap")
     n, t = q.order, q.table
     idem = tuple(islice((x for x in range(1, n + 1) if t[x - 1][x - 1] != x), witness_cap))
-    repeats = ((y, _first_repeat(col)) for y, col in enumerate(zip(*t), start=1))
-    cols = tuple(islice(((y, r[0], r[1]) for y, r in repeats if r), witness_cap))
+    repeats = ((y, *_first_repeat(col)[:2]) for y, col in enumerate(zip(*t), start=1)
+               if len(set(col)) < n)  # entries lie in 1..n, so fewer than n values means a repeat
+    cols = tuple(islice(repeats, witness_cap))
     if not cols and _generators_distribute(q):
         triples = ()
     else:  # the scan finds the witnesses, in lexicographic order
@@ -268,7 +308,7 @@ def _first_repeat(col) -> tuple[int, int, int] | None:
 
 def _columns(q: Quandle) -> list[tuple[int, ...]]:
     """0-based columns: _columns(q)[y][x] = (x+1 > y+1) - 1, so column y is R_{y+1}."""
-    return [tuple(v - 1 for v in col) for col in zip(*q.table)]
+    return [tuple(map((-1).__add__, col)) for col in zip(*q.table)]  # v - 1, at C speed
 
 
 def _displacements(q: Quandle) -> list[tuple[int, ...]]:
@@ -368,7 +408,8 @@ def right_translation(q: Quandle, y: int) -> Permutation:
 @lru_cache(maxsize=None)
 def translations(q: Quandle) -> tuple[Permutation, ...]:
     """All right translations R_1..R_n; raises NotAQuandleError on a non-bijective column."""
-    return tuple(right_translation(q, y) for y in range(1, q.order + 1))
+    return tuple(Permutation(col) if len(set(col)) == q.order else right_translation(q, y)
+                 for y, col in enumerate(zip(*q.table), start=1))
 
 
 def trivial(n: int) -> Quandle:

@@ -53,50 +53,39 @@ class PermGroup:
 
 
 def inn_group(q: Quandle, materialize_cap: int = DEFAULT_MATERIALIZE_CAP) -> PermGroup:
-    """Breadth-first closure of the right translations under composition.
-
-    Raises BudgetExceededError when the closure passes materialize_cap before
-    completing.
+    """Breadth-first closure of the right translations under composition, on image tuples,
+    over those of q._generators first: in a rack R_{y>z} = R_z R_y R_z^-1, so they give
+    every R_y; any translation still missing is closed over after. Raises
+    BudgetExceededError when the closure passes materialize_cap before completing.
     """
     _check_order(materialize_cap, "materialize_cap")
-    gens = list(dict.fromkeys(translations(q)))
-    identity = Permutation.identity(q.order)
-    elements = {identity}
-    frontier = [identity]
+    trans = translations(q)
+    gens = tuple(dict.fromkeys(trans))
+    elements = {tuple(q.elements())}  # the identity
+    _closure(elements, list(elements), [trans[s].images for s in q._generators], materialize_cap)
+    if any(g.images not in elements for g in gens):
+        _closure(elements, list(elements), [g.images for g in gens], materialize_cap)
+    ordered = tuple(map(Permutation, sorted(elements)))
+    return PermGroup(generators=gens, elements=ordered, order=len(ordered))
+
+
+def _closure(elements: set, frontier: list, gens: list, cap: int) -> None:
+    """Close elements, in place, under left composition with gens, starting from frontier."""
+    lookups = [(0, *g).__getitem__ for g in gens]  # 1-based: lookup(x) = g(x) for x in 1..n
     while frontier:
-        new: list[Permutation] = []
-        for g in gens:
+        new = []
+        for g in lookups:
             for h in frontier:
-                c = g.compose(h)
+                c = tuple(map(g, h))
                 if c not in elements:
                     elements.add(c)
                     new.append(c)
-                    if len(elements) > materialize_cap:
-                        raise BudgetExceededError(
-                            f"group closure exceeded cap {materialize_cap}")
+                    if len(elements) > cap:
+                        raise BudgetExceededError(f"group closure exceeded cap {cap}")
         frontier = new
-    ordered = tuple(sorted(elements, key=lambda p: p.images))
-    return PermGroup(generators=tuple(gens), elements=ordered, order=len(ordered))
 
 
 def orbits(q: Quandle) -> tuple[tuple[int, ...], ...]:
-    """Orbits of the translation group on {1..n}, each ascending, sorted by
-    least element.
-
-    The group is finite, so the orbit of x is its closure under the maps
-    x -> x>y, whose images are read off row x of the table.
-    """
+    """Orbits of the translation group, each ascending, sorted by least element."""
     translations(q)  # raises NotAQuandleError on a non-bijective column
-    t = q.table
-    placed: set[int] = set()
-    out = []
-    for x in range(1, q.order + 1):
-        if x not in placed:
-            orbit, frontier = {x}, [x]
-            while frontier:
-                new = set(t[frontier.pop() - 1]) - orbit
-                orbit |= new
-                frontier.extend(new)
-            placed |= orbit
-            out.append(tuple(sorted(orbit)))
-    return tuple(out)
+    return q._orbits

@@ -21,9 +21,7 @@ from .core import (
     affine,
     automorphism_from_images,
     check_axioms,
-    translations,
 )
-from .inner import orbits
 
 
 @lru_cache(maxsize=None)
@@ -42,7 +40,7 @@ def ensure_quandle(q: Quandle) -> None:
 def is_involutory(q: Quandle) -> bool:
     """True when every right translation has order at most 2."""
     ensure_quandle(q)
-    return all(p.order() <= 2 for p in translations(q))
+    return all(ct[0] <= 2 for ct in q._types)  # ct[0] is the longest cycle
 
 
 def is_abelian(q: Quandle) -> bool:
@@ -62,7 +60,7 @@ def is_left_distributive(q: Quandle) -> bool:
 def is_connected(q: Quandle) -> bool:
     """True when the right translations generate a transitive group (one orbit)."""
     ensure_quandle(q)
-    return len(orbits(q)) == 1
+    return len(q._orbits) == 1
 
 
 def is_cyclic_type(q: Quandle) -> bool:
@@ -71,7 +69,7 @@ def is_cyclic_type(q: Quandle) -> bool:
     n = q.order
     if n < 2:
         raise ValueError(f"cyclic type needs order >= 2, got {n}")
-    return n > 2 and all(p.cycle_type() == (n - 1, 1) for p in translations(q))
+    return n > 2 and all(ct == (n - 1, 1) for ct in q._types)
 
 
 def conjugate_identities(q: Quandle) -> bool:
@@ -170,7 +168,7 @@ def alexander_recognize(q: Quandle, max_order: int = 15) -> AffineWitness | None
     if q.order > max_order:
         raise BudgetExceededError(
             f"affine recognition capped at order {max_order}, got {q.order}")
-    cycle_types = {p.cycle_type() for p in translations(q)}
+    cycle_types = set(q._types)
     if not is_abelian(q) or len(cycle_types) > 1:
         return None
     groups = abelian_group_specs(q.order)

@@ -1,9 +1,11 @@
+import random
 from functools import cache
 from itertools import permutations
 
 import pytest
 
 import quandles as Q
+import quandles.classify as classify_mod
 from quandles.core import DEFAULT_WITNESS_CAP
 
 
@@ -285,6 +287,37 @@ def additive_by_pairs(group, t):
                                  for i in range(1, n + 1) for j in range(i, n + 1))
 
 
+def cycle_type_by_cycles(p):
+    """The library's former Permutation cycle type: lengths of cycles(), fixed points added."""
+    lengths = sorted(map(len, p.cycles()), reverse=True)
+    return tuple(lengths) + (1,) * (p.degree - sum(lengths))
+
+
+def types_by_translations(q):
+    """The cycle type of every right translation, each read off its own permutation."""
+    return tuple(p.cycle_type() for p in Q.translations(q))
+
+
+@cache
+def derived_data_tables():
+    """Quandles for the per-table derived data oracles: every labeled table of order
+    <= 4, seeded relabelings of census(5), products of census bases under the five
+    phase rules and both conventions, and four larger named tables."""
+    tables = [q for n in range(1, 5) for q in Q.all_quandle_tables(n)]
+    rng = random.Random(12)
+    for q in Q.census(5):
+        for _ in range(3):
+            images = list(q.elements())
+            rng.shuffle(images)
+            tables.append(relabel(q, Q.Permutation(tuple(images))))
+    tables += [Q.product3(b, r, conv) for n in (3, 4) for b in Q.census(n)
+               for r in Q.enumerate_phase_rules() for conv in ("xa", "ax")]
+    z29 = Q.AbelianGroupSpec((29,))
+    tables += [Q.dihedral(45), Q.conjugation(Q.symmetric_group(4)),
+               Q.affine(z29, Q.scalar_automorphism(z29, 3)), Q.trivial(24)]
+    return tuple(tables)
+
+
 def orbits_by_union_find(q):
     """The library's former orbits, verbatim: union-find over every translation's images."""
     n = q.order
@@ -336,3 +369,111 @@ def order_by_scaling(group, i):
     while group.scale(k, i) != group.zero:
         k += 1
     return k
+
+
+def search_isomorphism_all_pairs(q1, q2):
+    """The library's former _search_isomorphism, verbatim: propagation checks every
+    ordered pair of assigned elements, each unordered pair twice.
+
+    Backtracking with forced-assignment propagation.
+
+    Seeds are assigned rarest cycle type first; candidate images share the
+    translation cycle type and are tried in ascending element order. Each
+    assignment is closed under the table operation, so conflicts surface
+    early. A mapping found is re-verified against both tables.
+    """
+    n = q1.order
+    t1, t2 = q1.table, q2.table
+    type1 = [None] + [p.cycle_type() for p in Q.translations(q1)]
+    type2 = [None] + [p.cycle_type() for p in Q.translations(q2)]
+    buckets: dict[tuple, list[int]] = {}
+    for u in range(1, n + 1):
+        buckets.setdefault(type2[u], []).append(u)
+    if any(type1[x] not in buckets for x in range(1, n + 1)):
+        return None
+    seed_order = sorted(range(1, n + 1),
+                        key=lambda x: (len(buckets[type1[x]]), type1[x], x))
+
+    phi = [0] * (n + 1)
+    used = [False] * (n + 1)
+    assigned: list[int] = []
+
+    def propagate(start: int) -> bool:
+        qi = start
+        while qi < len(assigned):
+            e = assigned[qi]
+            di = 0
+            while di < len(assigned):
+                d = assigned[di]
+                for x, y in ((e, d), (d, e)):
+                    w = t1[x - 1][y - 1]
+                    w2 = t2[phi[x] - 1][phi[y] - 1]
+                    pw = phi[w]
+                    if pw:
+                        if pw != w2:
+                            return False
+                    elif used[w2] or type1[w] != type2[w2]:
+                        return False
+                    else:
+                        phi[w] = w2
+                        used[w2] = True
+                        assigned.append(w)
+                di += 1
+            qi += 1
+        return True
+
+    def rollback(mark: int) -> None:
+        while len(assigned) > mark:
+            e = assigned.pop()
+            used[phi[e]] = False
+            phi[e] = 0
+
+    # Depth first on a stack of (bucket position of a seed's image, rollback mark).
+    # A rollback restores the state in which that seed was the first free one.
+    stack: list[tuple[int, int]] = []
+    pos = 0
+    while (x := next((e for e in seed_order if phi[e] == 0), None)) is not None:
+        bucket = buckets[type1[x]]
+        while pos < len(bucket) and used[bucket[pos]]:
+            pos += 1
+        if pos < len(bucket):
+            mark = len(assigned)
+            phi[x], used[bucket[pos]] = bucket[pos], True
+            assigned.append(x)
+            stack.append((pos, mark))
+            if propagate(mark):
+                pos = 0
+                continue
+        if not stack:
+            return None
+        pos, mark = stack.pop()
+        rollback(mark)
+        pos += 1
+
+    mapping = Q.Permutation(tuple(phi[1:]))
+    if not classify_mod._is_homomorphism(q1, q2, mapping):
+        raise AssertionError("search returned a non-homomorphism")  # pragma: no cover
+    return mapping
+
+
+def inn_group_by_all_translations(q, materialize_cap=10**6):
+    """The library's former inn_group, verbatim: breadth-first closure of every
+    distinct right translation under composition, on Permutation objects."""
+    gens = list(dict.fromkeys(Q.translations(q)))
+    identity = Q.Permutation.identity(q.order)
+    elements = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for g in gens:
+            for h in frontier:
+                c = g.compose(h)
+                if c not in elements:
+                    elements.add(c)
+                    new.append(c)
+                    if len(elements) > materialize_cap:
+                        raise Q.BudgetExceededError(
+                            f"group closure exceeded cap {materialize_cap}")
+        frontier = new
+    ordered = tuple(sorted(elements, key=lambda p: p.images))
+    return Q.PermGroup(generators=tuple(gens), elements=ordered, order=len(ordered))

@@ -5,7 +5,8 @@ import pytest
 
 import quandles as Q
 
-from conftest import all_quandle_tables_by_columns, brute_isomorphic, is_isomorphism, relabel
+from conftest import (all_quandle_tables_by_columns, brute_isomorphic, derived_data_tables, is_isomorphism,
+                      relabel, search_isomorphism_all_pairs)
 import quandles.classify as classify_mod
 from quandles.classify import _STAGES
 
@@ -120,6 +121,33 @@ class TestAreIsomorphic:
                 for j in range(i + 1, len(tables)):
                     assert (Q.are_isomorphic(tables[i], tables[j]).isomorphic
                             == brute_isomorphic(tables[i], tables[j])), (n, i, j)
+
+
+class TestSearchOracle:
+    """The search checks each pair of assigned elements once; the former search checked
+    every ordered pair. Both must make the same choices and return the same mapping."""
+
+    def test_mapping_equals_the_all_pairs_search(self):
+        tables = derived_data_tables()
+        by_order: dict[int, list] = {}
+        for q in tables:
+            by_order.setdefault(q.order, []).append(q)
+        rng = random.Random(31)
+        pairs = []
+        for q in tables:
+            images = list(q.elements())
+            rng.shuffle(images)
+            pairs.append((q, relabel(q, Q.Permutation(tuple(images)))))
+            other = rng.choice(by_order[q.order])
+            rng.shuffle(images)
+            pairs.append((q, relabel(other, Q.Permutation(tuple(images)))))
+        by_profile: dict = {}
+        for q in tables:  # equal profiles, so some pairs reach a failing search
+            by_profile.setdefault(Q.invariant_profile(q), []).append(q)
+        pairs += [(a, b) for group in by_profile.values() for a in group for b in group if a is not b]
+        found = [classify_mod._search_isomorphism(a, b) for a, b in pairs]
+        assert found == [search_isomorphism_all_pairs(a, b) for a, b in pairs]
+        assert sum(m is None for m in found) > 20 and sum(m is not None for m in found) > len(tables)
 
 
 class TestClassifyFamily:

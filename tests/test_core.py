@@ -7,8 +7,9 @@ import pytest
 
 import quandles as Q
 import quandles.core as core_mod
-from conftest import (additive_by_pairs, affine_by_add, axioms_by_scan, digits_by_division,
-                      order_by_scaling)
+from conftest import (additive_by_pairs, affine_by_add, axioms_by_scan, cycle_type_by_cycles,
+                      derived_data_tables, digits_by_division, order_by_scaling,
+                      orbits_by_union_find, types_by_translations)
 
 
 class TestPermutation:
@@ -38,15 +39,32 @@ class TestPermutation:
         assert p.order() == 6
         assert Q.Permutation.identity(4).order() == 1
 
-    def test_cycles_run_once_per_permutation(self, monkeypatch):
+    def test_cycle_type_kernel_runs_once_per_permutation(self, monkeypatch):
         calls = []
-        cycles = Q.Permutation.cycles
-        monkeypatch.setattr(Q.Permutation, "cycles", lambda p: calls.append(p) or cycles(p))
+        kernel = core_mod._cycle_type_of
+        monkeypatch.setattr(core_mod, "_cycle_type_of", lambda images: calls.append(images) or kernel(images))
         p = Q.Permutation((2, 3, 1, 5, 4))
         for _ in range(3):
             assert p.order() == 6
             assert p.cycle_type() == (3, 2)
-        assert calls == [p]
+        assert p.cycle_string() == "(1,2,3), (4,5)"
+        assert calls == [p.images]
+
+    def test_cycle_type_equals_the_cycles(self):
+        perms = [Q.Permutation(p) for n in range(1, 6) for p in permutations(range(1, n + 1))]
+        rng = random.Random(12)
+        for n in (10, 40, 100):
+            for _ in range(20):
+                images = list(range(1, n + 1))
+                rng.shuffle(images)
+                perms.append(Q.Permutation(tuple(images)))
+        for p in perms:
+            assert p.cycle_type() == cycle_type_by_cycles(p), p
+
+    @pytest.mark.parametrize("images", [(1, 2.0, 3), (1.0,), (2, 1.0), (1, "2"), (3, 2, 1.5)])
+    def test_rejects_non_int_image(self, images):
+        with pytest.raises(ValueError, match="not a bijection"):
+            Q.Permutation(images)
 
     def test_cached_cycle_type_is_invisible(self):
         p, fresh = Q.Permutation((2, 1, 3)), Q.Permutation((2, 1, 3))
@@ -227,6 +245,37 @@ class TestGeneratorVerdict:
         tables += Q.all_quandle_tables(4)
         for q in tables:
             assert Q.check_axioms(q, witness_cap=None).overall, q.table
+
+
+class TestDerivedData:
+    """Orbits and per-orbit cycle types, computed once per table, against their oracles."""
+
+    def test_types_equal_each_translations_cycle_type(self):
+        for q in derived_data_tables():
+            assert q._types == types_by_translations(q), q.table
+
+    def test_orbits_equal_union_find(self):
+        tables = derived_data_tables()
+        for q in tables:
+            assert q._orbits == orbits_by_union_find(q), q.table
+        assert {len(q._orbits) for q in tables} >= {1, 2, 3, 5, 24}
+
+    def test_profile_reads_one_cycle_type_per_orbit(self, monkeypatch):
+        calls = []
+        kernel = core_mod._cycle_type_of
+        monkeypatch.setattr(core_mod, "_cycle_type_of", lambda images: calls.append(images) or kernel(images))
+        Q.invariant_profile(Q.dihedral(45))
+        assert len(calls) == 1
+        calls.clear()
+        q1 = Q.from_table(12, Q.Q1.table)  # a fresh object: nothing cached on it yet
+        Q.invariant_profile(q1)
+        assert len(calls) == len(Q.orbits(q1)) == 6
+
+    def test_fields_are_invisible(self):
+        q, fresh = Q.dihedral(7), Q.dihedral(7)
+        before = (repr(q), hash(q))
+        assert q._types and q._orbits
+        assert q == fresh and (repr(q), hash(q)) == before == (repr(fresh), hash(fresh))
 
 
 class TestApplyAndDual:

@@ -3,7 +3,8 @@ import random
 import pytest
 
 import quandles as Q
-from conftest import orbits_by_union_find, relabel
+import quandles.inner as inner_mod
+from conftest import derived_data_tables, inn_group_by_all_translations, orbits_by_union_find, relabel
 
 Q1_LISTING = [
     "R(1) = (1)",
@@ -95,6 +96,39 @@ class TestInnGroup:
     def test_rejects_bad_cap(self, cap):
         with pytest.raises(ValueError, match="materialize_cap must be >= 1"):
             Q.inn_group(Q.dihedral(3), materialize_cap=cap)
+
+
+class TestInnGroupOracle:
+    """The closure over a generating set against the closure over every translation."""
+
+    def test_equals_the_closure_over_every_translation(self):
+        tables = [q for q in derived_data_tables() if q.order <= 30]
+        tables += [Q.dihedral(45), Q.Q1, Q.Q2, Q.product3(Q.dihedral(5), Q.named_rules()["swap01"])]
+        for q in tables:
+            assert Q.inn_group(q) == inn_group_by_all_translations(q), q.table
+
+    def test_non_distributive_tables_fall_back(self, monkeypatch):
+        calls = []
+        closure = inner_mod._closure
+        monkeypatch.setattr(inner_mod, "_closure", lambda *args: calls.append(args[2]) or closure(*args))
+        rng = random.Random(12)
+        fallbacks = 0
+        for _ in range(60):
+            n = rng.randint(3, 5)
+            q = Q.from_table(n, zip(*(rng.sample(range(1, n + 1), n) for _ in range(n))))
+            calls.clear()
+            assert Q.inn_group(q) == inn_group_by_all_translations(q), q.table
+            fallbacks += len(calls) == 2
+            if len(calls) == 2:
+                assert not Q.check_axioms(q).self_distributivity.ok
+        assert fallbacks >= 20
+
+    def test_cap_counts_every_element(self):
+        z29 = Q.AbelianGroupSpec((29,))
+        q = Q.affine(z29, Q.scalar_automorphism(z29, 3))
+        assert Q.inn_group(q, materialize_cap=812).order == 812
+        with pytest.raises(Q.BudgetExceededError, match="group closure exceeded cap 811"):
+            Q.inn_group(q, materialize_cap=811)
 
 
 class TestOrbits:
