@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from collections import Counter
 
 from . import classify as classify_mod
@@ -157,10 +158,11 @@ def cmd_check(args) -> int:
 def cmd_construct(args) -> int:
     base = _load_quandle(args.base)
     rule = _load_rule(args.rule)
+    cap = _witness_cap(args) if args.validate else None  # a bad cap fails before any warning
     product = construct_mod.product3(base, rule, args.convention)
     code = EXIT_OK
     if args.validate:
-        report = check_axioms(product, witness_cap=_witness_cap(args))
+        report = check_axioms(product, witness_cap=cap)
         if args.format == "json":
             print(json.dumps({**table_obj(product), "report": _report_obj(report)}, indent=2))
         else:
@@ -448,18 +450,17 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    except NotAQuandleError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_AXIOM
-    except (TableFormatError, OSError, BudgetExceededError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
+    with warnings.catch_warnings():  # a library warning becomes one stderr line
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            args = parser.parse_args(argv)
+            return args.func(args)
+        except NotAQuandleError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_AXIOM
+        except (UsageError, TableFormatError, OSError, BudgetExceededError, ValueError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_ERROR
 
 
 if __name__ == "__main__":

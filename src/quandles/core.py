@@ -177,11 +177,11 @@ class Quandle:
     def _orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of the translation group, each ascending, sorted by least element: with
         bijective columns the group is finite, and x's orbit is its closure under row x."""
-        t, placed, out = self.table, set(), []
-        for x in range(1, self.order + 1):
+        t, n, placed, out = self.table, self.order, set(), []
+        for x in range(1, n + 1):
             if x not in placed:
                 orbit, frontier = {x}, [x]
-                while frontier:
+                while frontier and len(orbit) < n - len(placed):
                     new = set(t[frontier.pop() - 1]) - orbit
                     orbit |= new
                     frontier.extend(new)

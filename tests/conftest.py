@@ -217,6 +217,18 @@ def all_quandle_tables_by_columns(n):
     return tuple(out)
 
 
+def census_by_labeled(n):
+    """The library's former census body, verbatim: classify every labeled table and
+    keep each class's least member."""
+    labeled = Q.all_quandle_tables(n)
+    return tuple(cls.representative for cls in Q.classify_family(labeled))
+
+
+def least_relabeling_by_brute_force(q):
+    """The least table over all n! relabelings of q."""
+    return min(relabel(q, Q.Permutation(p)).table for p in permutations(q.elements()))
+
+
 def is_isomorphism(q1, q2, phi):
     """Check a mapping cell by cell: a bijection with phi(x>y) = phi(x)>phi(y)."""
     n = q1.order

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import sys
 
@@ -5,8 +7,8 @@ import pytest
 
 import quandles as Q
 
-from conftest import (all_quandle_tables_by_columns, brute_isomorphic, derived_data_tables, is_isomorphism,
-                      relabel, search_isomorphism_all_pairs)
+from conftest import (all_quandle_tables_by_columns, brute_isomorphic, census_by_labeled, derived_data_tables,
+                      is_isomorphism, least_relabeling_by_brute_force, relabel, search_isomorphism_all_pairs)
 import quandles.classify as classify_mod
 from quandles.classify import _STAGES
 
@@ -216,6 +218,53 @@ class TestCensus:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_forced_columns_give_the_same_sequence(self, n):
         assert Q.all_quandle_tables(n) == all_quandle_tables_by_columns(n)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_labeled_census(self, n):
+        assert Q.census(n) == census_by_labeled(n)
+
+    def test_order_6_digest(self):
+        # sha256 of the census(6) tables as compact JSON, computed once with census_by_labeled(6)
+        tables = [q.table for q in Q.census(6)]
+        digest = hashlib.sha256(json.dumps(tables, separators=(",", ":")).encode()).hexdigest()
+        assert len(tables) == 73
+        assert digest == "52563b290222032b81bab6bea04f39476f602e7d4030b5ca58b4084f4b3686fb"
+
+    def test_least_relabeling_matches_brute_force(self):
+        rng = random.Random(13)
+        for n in range(1, 6):
+            for q in Q.census(n):
+                tables = [q]
+                for _ in range(3):
+                    images = list(q.elements())
+                    rng.shuffle(images)
+                    tables.append(relabel(q, Q.Permutation(tuple(images))))
+                for t in tables:
+                    assert classify_mod._least_relabeling(t).table == least_relabeling_by_brute_force(t)
+
+    @staticmethod
+    def reduced_tables(n):
+        """The labeled tables census(n) enumerates: the first R_1 candidate of each cycle type."""
+        firsts = {}
+        for col in classify_mod._columns_fixing(n, 1):
+            firsts.setdefault(Q.Permutation(col).cycle_type(), col)
+        return classify_mod._tables(n, list(firsts.values()))
+
+    @pytest.mark.parametrize("n, count", [(1, 1), (2, 1), (3, 5), (4, 26), (5, 218)])
+    def test_reduced_tables_meet_every_class(self, n, count):
+        labeled, reduced = Q.all_quandle_tables(n), self.reduced_tables(n)
+        assert len(reduced) == count
+        assert set(reduced) <= set(labeled)
+        classes = Q.classify_family(labeled + reduced)
+        assert len(classes) == len(Q.classify_family(labeled))
+        assert all(max(c.members) >= len(labeled) for c in classes)
+
+    def test_census_does_not_enumerate_every_labeled_table(self, monkeypatch):
+        calls = []
+        real = classify_mod.all_quandle_tables
+        monkeypatch.setattr(classify_mod, "all_quandle_tables", lambda n: calls.append(n) or real(n))
+        assert len(Q.census(5)) == 22
+        assert calls == []
 
     def test_labeled_count_order_3(self):
         assert len(Q.all_quandle_tables(3)) == 5

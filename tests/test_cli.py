@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -11,6 +12,16 @@ def broken_table(tmp_path):
     path = tmp_path / "broken.txt"
     path.write_text("quandle 2\n1 2\n1 2\n")
     return str(path)
+
+
+@pytest.fixture()
+def order_2_base(tmp_path):
+    path = tmp_path / "trivial2.txt"
+    path.write_text(Q.emit_table(Q.trivial(2)))
+    return str(path)
+
+
+SMALL_BASE_WARNING = "warning: product base has order 2; the construction is stated for n >= 3\n"
 
 
 class TestCheck:
@@ -105,6 +116,23 @@ class TestConstruct:
     def test_json_output_parses_back(self, capsys):
         main(["construct", "--base", "paper:baseB", "--rule", "trivial", "--format", "json"])
         assert Q.parse_table_json(capsys.readouterr().out) == Q.Q1
+
+    def test_small_base_warning_is_one_stderr_line(self, order_2_base, capsys):
+        with pytest.warns(UserWarning):
+            expected = Q.emit_table(Q.product3(Q.trivial(2), Q.named_rules()["trivial"]))
+        with warnings.catch_warnings(record=True) as leaked:
+            warnings.simplefilter("always")
+            assert main(["construct", "--base", order_2_base, "--rule", "trivial"]) == 0
+        assert leaked == []
+        assert capsys.readouterr() == (expected, SMALL_BASE_WARNING)
+
+    def test_bad_witness_cap_fails_before_the_small_base_warning(self, order_2_base, capsys):
+        argv = ["construct", "--base", order_2_base, "--rule", "trivial", "--validate", "--witness-cap", "-1"]
+        with warnings.catch_warnings(record=True) as raised:
+            warnings.simplefilter("always")
+            assert main(argv) == 1
+        assert raised == []
+        assert capsys.readouterr() == ("", "error: witness cap must be >= 0 (0 means exhaustive)\n")
 
 
 class TestInn:
@@ -225,6 +253,12 @@ class TestAudit:
         assert names == ["involutory", "conjugate identities", "left-distributive",
                          "abelian", "alexander", "connected"]
         assert all(r["claim"] == "iff" for r in obj["records"])
+
+    def test_small_base_warning_is_one_stderr_line(self, order_2_base, capsys):
+        assert main(["audit", "--base", order_2_base, "--rule", "trivial"]) == 0
+        out, err = capsys.readouterr()
+        assert "product order: 6" in out
+        assert err == SMALL_BASE_WARNING
 
 
 class TestCensus:
