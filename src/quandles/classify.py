@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields
 from itertools import permutations as _permutations
 from operator import eq
 
-from .core import Permutation, Quandle, _check_order, _cycle_type_of, translations  # noqa: F401 (perfbench traces it here)
+from .core import Permutation, Quandle, _check_order, _cycle_type_of, _proven, translations  # noqa: F401 (perfbench traces it here)
 from .properties import (
     ensure_quandle,
     is_abelian,
@@ -301,7 +301,7 @@ def _tables(n: int, first_columns) -> tuple[Quandle, ...]:
     def rec(k: int) -> None:
         if k == n:
             rows = tuple(tuple(cols[y][x] for y in range(n)) for x in range(n))
-            out.append(Quandle(n, rows))
+            out.append(_proven(Quandle(n, rows)))  # the columns and consistent() proved it
             return
         for cand in forced(k) or col_candidates[k]:
             cols.append(cand)
@@ -327,7 +327,7 @@ def _least_relabeling(q: Quandle) -> Quandle:
             first = next(relabeled)
             if first <= best[0]:  # most relabelings are out at their first row
                 best = min(best, (first, *relabeled))
-    return Quandle(n, best)
+    return _proven(Quandle(n, best))  # a relabeling of a quandle is one
 
 
 def census(n: int) -> tuple[Quandle, ...]:

@@ -294,9 +294,8 @@ def audit_transfer(base: Quandle, rule: PhaseRule, convention: Convention = "xa"
     rule_report = validate_rule(rule, witness_cap=1)
     if not rule_report.overall:
         raise NotAQuandleError(f"phase rule fails axioms: {rule_report.summary()}")
-    base_report = check_axioms(base, witness_cap=1)
-    if not base_report.overall:
-        raise NotAQuandleError(f"base fails axioms: {base_report.summary()}")
+    if not base._axioms.overall:
+        raise NotAQuandleError(f"base fails axioms: {base._axioms.summary()}")
 
     product = product3(base, rule, convention)
     evaluators = (

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product as _cartesian
 
 from .core import (
@@ -20,21 +19,14 @@ from .core import (
     _distributivity_failures,
     affine,
     automorphism_from_images,
-    check_axioms,
 )
-
-
-@lru_cache(maxsize=None)
-def _satisfies_axioms(q: Quandle) -> bool:
-    return check_axioms(q, witness_cap=1).overall
 
 
 def ensure_quandle(q: Quandle) -> None:
     """Reject tables that fail the axioms; the predicates below assume them."""
-    if not _satisfies_axioms(q):
-        report = check_axioms(q, witness_cap=1)
+    if not q._axioms.overall:  # checked at most once per table object
         label = f"{q.name} " if q.name else ""
-        raise NotAQuandleError(f"table {label}fails axioms: {report.summary()}")
+        raise NotAQuandleError(f"table {label}fails axioms: {q._axioms.summary()}")
 
 
 def is_involutory(q: Quandle) -> bool:

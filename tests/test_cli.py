@@ -15,6 +15,13 @@ def broken_table(tmp_path):
 
 
 @pytest.fixture()
+def broken_json(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"order": 2, "table": [[1,2],[1,2]]}')
+    return str(path)
+
+
+@pytest.fixture()
 def order_2_base(tmp_path):
     path = tmp_path / "trivial2.txt"
     path.write_text(Q.emit_table(Q.trivial(2)))
@@ -80,6 +87,20 @@ class TestCheck:
         main(["check", broken_table, "--witness-cap", "1", "--format", "json"])
         obj = json.loads(capsys.readouterr().out)
         assert len(obj["right_invertibility"]["witnesses"]) == 1
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_witness_cap_above_sys_maxsize_is_exhaustive(self, source, broken_table, capsys, monkeypatch):
+        huge = "9" * 23
+        flag = ["--witness-cap", huge] if source == "flag" else []
+        if source == "env":
+            monkeypatch.setenv("QF_WITNESS_CAP", huge)
+        assert main(["check", "paper:q1", *flag]) == 0
+        assert "overall: PASS" in capsys.readouterr().out
+        assert main(["check", broken_table, "--format", "json", *flag]) == 2
+        out, err = capsys.readouterr()
+        obj = json.loads(out)
+        assert err == "" and obj["witness_cap"] == int(huge)
+        assert len(obj["right_invertibility"]["witnesses"]) == 2
 
     def test_bad_env_value_exits_1(self, broken_table, capsys, monkeypatch):
         monkeypatch.setenv("QF_WITNESS_CAP", "many")
@@ -167,6 +188,11 @@ class TestProps:
         assert "connected: false" in out
         assert "orbits: {1} {2} {3} {4,7,10} {5,8,11} {6,9,12}" in out
 
+    def test_broken_table_is_one_stderr_line(self, broken_json, capsys):
+        assert main(["props", broken_json]) == 2
+        assert capsys.readouterr() == ("", f"error: table {broken_json} fails axioms: right invertibility"
+                                           " fails at column y=1 (rows 1,2 collide)\n")
+
     def test_alexander_witness_reported(self, capsys):
         main(["props", "paper:table1"])
         assert "alexander: yes" in capsys.readouterr().out
@@ -245,6 +271,11 @@ class TestAudit:
     def test_invalid_rule_exits_2(self, capsys):
         assert main(["audit", "--base", "paper:table1", "--rule", "thm31"]) == 2
         assert "phase rule fails axioms" in capsys.readouterr().err
+
+    def test_broken_base_is_one_stderr_line(self, broken_json, capsys):
+        assert main(["audit", "--base", broken_json, "--rule", "trivial"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: base fails axioms: right invertibility fails at column y=1 (rows 1,2 collide)\n")
 
     def test_json_records(self, capsys):
         main(["audit", "--base", "paper:table1", "--rule", "trivial", "--format", "json"])

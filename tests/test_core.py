@@ -6,6 +6,7 @@ from itertools import permutations, product
 import pytest
 
 import quandles as Q
+import quandles.construct as construct_mod
 import quandles.core as core_mod
 from conftest import (additive_by_pairs, affine_by_add, axioms_by_scan, cycle_type_by_cycles,
                       derived_data_tables, digits_by_division, order_by_scaling,
@@ -170,6 +171,19 @@ class TestCheckAxioms:
             with pytest.raises(ValueError):
                 Q.check_axioms(Q.trivial(2), witness_cap=cap)
 
+    def test_cap_above_sys_maxsize_is_exhaustive(self):
+        def witnesses(report):
+            return report.idempotency, report.right_invertibility, report.self_distributivity
+
+        rule = Q.literal_rule_A()
+        for q in (Q.from_table(3, [[2, 1, 1], [3, 3, 2], [1, 2, 3]]), Q.Q1, rule.to_quandle()):
+            report = Q.check_axioms(q, witness_cap=2**64)
+            assert report.witness_cap == 2**64
+            assert witnesses(report) == witnesses(Q.check_axioms(q, witness_cap=None))
+        report = Q.validate_rule(rule, witness_cap=2**64)
+        assert report.witness_cap == 2**64 and not report.overall
+        assert witnesses(report) == witnesses(Q.validate_rule(rule, witness_cap=None))
+
 
 def _axiom_inputs():
     bases = [Q.dihedral(n) for n in range(3, 10)] + [Q.trivial(4), Q.TABLE1, Q.BASE_B]
@@ -274,8 +288,45 @@ class TestDerivedData:
     def test_fields_are_invisible(self):
         q, fresh = Q.dihedral(7), Q.dihedral(7)
         before = (repr(q), hash(q))
-        assert q._types and q._orbits
+        assert q._types and q._orbits and q._axioms.overall
         assert q == fresh and (repr(q), hash(q)) == before == (repr(fresh), hash(fresh))
+
+
+class TestAxiomVerdictField:
+    """Quandle._axioms: the report every gate reads, computed at most once per object."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = []
+        kernel = core_mod.check_axioms
+        monkeypatch.setattr(core_mod, "check_axioms", lambda q, **kw: calls.append(q) or kernel(q, **kw))
+        return calls
+
+    def test_enumerated_tables_carry_the_report_a_fresh_check_gives(self):
+        for n in range(1, 6):
+            tables = Q.all_quandle_tables(n)
+            assert n < 5 or len(tables) == 404
+            for q in tables + Q.census(n):
+                assert q._axioms == Q.check_axioms(Q.Quandle(q.order, q.table), witness_cap=1), q.table
+
+    def test_census_checks_no_table(self, calls):
+        assert [len(Q.census(n)) for n in (3, 4, 5)] == [3, 7, 22]
+        assert calls == []
+
+    def test_one_check_per_object_through_the_gate(self, calls):
+        broken, fresh = Q.from_table(2, [[1, 2], [1, 2]]), Q.dihedral(5)
+        for _ in range(3):
+            with pytest.raises(Q.NotAQuandleError, match="right invertibility fails at column y=1"):
+                Q.ensure_quandle(broken)
+            Q.ensure_quandle(fresh)
+            assert Q.invariant_profile(fresh).connected
+        assert len(calls) == 2 and calls[0] is broken and calls[1] is fresh
+
+    def test_audit_checks_a_fresh_base_once(self, calls, monkeypatch):
+        monkeypatch.setattr(construct_mod, "check_axioms", core_mod.check_axioms)  # validate_rule's
+        report = Q.audit_transfer(Q.dihedral(5), Q.dihedral_rule())
+        assert len(calls) == 3  # the rule, the base, the product
+        assert calls[1] is report.base and calls[2] is report.product
 
 
 class TestApplyAndDual:

@@ -1,8 +1,11 @@
 """Property tests: the medial test, the invariant profile, classification and
 affine recognition do not depend on how the elements of a table are labeled;
 isomorphism mappings verify cell by cell; emit/parse and product/decompose
-round trips return what they were given."""
+round trips return what they were given; and no gate keeps a table alive."""
 
+import gc
+import random
+import weakref
 from functools import cache
 
 from hypothesis import given, settings, strategies as st
@@ -109,3 +112,32 @@ def test_product_decompose_round_trip(data):
     rule = Q.PhaseRule(data.draw(PHASE_TABLES))
     convention = data.draw(st.sampled_from(["xa", "ax"]))
     assert Q.decompose3(Q.product3(base, rule, convention), convention) == (base, rule)
+
+
+def test_dropped_tables_are_freed():
+    """The axiom verdict and the other derived data live on the table, so a table
+    that went through every gated entry point is freed once dropped. (inn_group,
+    inner_structure and orbits go through core.translations, a module-level cache.)"""
+    bases = [Q.dihedral(9), Q.TABLE1, Q.conjugation(Q.symmetric_group(3)), Q.dihedral(7)]
+    rng, seen, refs = random.Random(16), set(), []
+    for i in range(10**4):
+        base = bases[i % len(bases)]
+        images = list(base.elements())
+        rng.shuffle(images)
+        r = relabel(base, Q.Permutation(tuple(images)))
+        if r.table in seen:
+            continue
+        seen.add(r.table)
+        Q.ensure_quandle(r)
+        Q.invariant_profile(r)
+        assert Q.are_isomorphic(r, base).isomorphic
+        assert len(Q.classify_family([base, r])) == 1
+        Q.alexander_recognize(r, max_order=15)
+        Q.audit_transfer(r, Q.trivial_rule(), alexander_budget=1)
+        refs.append(weakref.ref(r))
+        if len(refs) == 1000:
+            break
+    del r
+    gc.collect()
+    assert len(refs) == 1000
+    assert [ref for ref in refs if ref() is not None] == []
