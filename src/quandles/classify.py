@@ -231,7 +231,11 @@ def classify_family(qs) -> tuple[IsoClass, ...]:
     table; classes are sorted by (profile key, representative table), so the
     output is stable under permuting the input.
     """
-    qs = list(qs)
+    return tuple(c for _, c in _keyed_classes(tuple(qs)))
+
+
+def _keyed_classes(qs: tuple[Quandle, ...]) -> list[tuple[tuple, IsoClass]]:
+    """(profile sort key, class) for each class of classify_family(qs), in its order."""
     profiles = [invariant_profile(q) for q in qs]
     buckets: dict[InvariantProfile, list[list[int]]] = {}
     for i, q in enumerate(qs):
@@ -242,11 +246,10 @@ def classify_family(qs) -> tuple[IsoClass, ...]:
                 break
         else:
             bucket.append([i])
-    classes = [IsoClass(representative=min((qs[i] for i in m), key=lambda q: q.table),
-                        members=tuple(m))
-               for bucket in buckets.values() for m in bucket]
-    classes.sort(key=lambda c: (profiles[c.members[0]].sort_key(), c.representative.table))
-    return tuple(classes)
+    classes = [(profile.sort_key(), IsoClass(representative=min((qs[i] for i in m), key=lambda q: q.table),
+                                             members=tuple(m)))
+               for profile, bucket in buckets.items() for m in bucket]
+    return sorted(classes, key=lambda kc: (kc[0], kc[1].representative.table))
 
 
 def _columns_fixing(n: int, y: int) -> list[tuple[int, ...]]:
@@ -340,6 +343,6 @@ def census(n: int) -> tuple[Quandle, ...]:
         raise ValueError(f"census supports 1 <= n <= {CENSUS_CAP}, got {n}")
     _check_order(n)
     by_type = {_cycle_type_of(c): c for c in reversed(_columns_fixing(n, 1))}  # each type's first column
-    members = [c.representative for c in classify_family(_tables(n, list(by_type.values())))]
-    reps = [(invariant_profile(q).sort_key(), _least_relabeling(q)) for q in members]
+    classes = _keyed_classes(_tables(n, list(by_type.values())))
+    reps = [(key, _least_relabeling(c.representative)) for key, c in classes]
     return tuple(rep for _, rep in sorted(reps, key=lambda kr: (kr[0], kr[1].table)))

@@ -21,6 +21,7 @@ from . import inner as inner_mod
 from . import properties as props_mod
 from .core import (
     DEFAULT_WITNESS_CAP,
+    _AXIOM_LAYOUT,
     AxiomReport,
     BudgetExceededError,
     NotAQuandleError,
@@ -105,41 +106,19 @@ def _fmt_bool(v) -> str:
 
 
 def _print_report(report: AxiomReport) -> None:
-    def fmt_idem(w):
-        return f"x={w}"
-
-    def fmt_col(w):
-        y, x1, x2 = w
-        return f"column y={y} (rows {x1},{x2} collide)"
-
-    def fmt_triple(w):
-        return f"({w[0]},{w[1]},{w[2]})"
-
-    rows = (
-        ("idempotency", report.idempotency, fmt_idem),
-        ("right invertibility", report.right_invertibility, fmt_col),
-        ("self-distributivity", report.self_distributivity, fmt_triple),
-    )
-    for label, verdict, fmt in rows:
+    for name, label, fmt, _ in _AXIOM_LAYOUT:
+        verdict = getattr(report, name)
         if verdict.ok:
             print(f"{label}: pass")
         else:
-            witnesses = ", ".join(fmt(w) for w in verdict.witnesses)
-            print(f"{label}: FAIL [{witnesses}]")
+            print(f"{label}: FAIL [{', '.join(map(fmt.format, verdict.witnesses))}]")
     print(f"overall: {'PASS' if report.overall else 'FAIL'}")
 
 
 def _report_obj(report: AxiomReport) -> dict:
-    return {
-        "idempotency": {"ok": report.idempotency.ok,
-                        "witnesses": list(report.idempotency.witnesses)},
-        "right_invertibility": {"ok": report.right_invertibility.ok,
-                                "witnesses": [list(w) for w in report.right_invertibility.witnesses]},
-        "self_distributivity": {"ok": report.self_distributivity.ok,
-                                "witnesses": [list(w) for w in report.self_distributivity.witnesses]},
-        "overall": report.overall,
-        "witness_cap": report.witness_cap,
-    }
+    obj = {name: {"ok": getattr(report, name).ok, "witnesses": list(getattr(report, name).witnesses)}
+           for name, *_ in _AXIOM_LAYOUT}  # json writes witness tuples as arrays
+    return {**obj, "overall": report.overall, "witness_cap": report.witness_cap}
 
 
 def cmd_check(args) -> int:

@@ -14,12 +14,14 @@ from . import properties
 from .classify import all_quandle_tables
 from .core import (
     DEFAULT_WITNESS_CAP,
+    _AXIOM_LAYOUT,
     AxiomReport,
     AxiomVerdict,
     BudgetExceededError,
     NotAQuandleError,
     Quandle,
     _check_order,
+    _proven,
     check_axioms,
 )
 
@@ -141,10 +143,7 @@ def validate_rule(rule: PhaseRule, witness_cap: int | None = DEFAULT_WITNESS_CAP
     """Run the table axiom checker on (Z_3, f); witnesses come back in phase
     coordinates 0..2 rather than the 1-based element coding."""
     report = check_axioms(rule.to_quandle(), witness_cap=witness_cap)
-    return replace(report,
-                   idempotency=_to_phases(report.idempotency),
-                   right_invertibility=_to_phases(report.right_invertibility),
-                   self_distributivity=_to_phases(report.self_distributivity))
+    return replace(report, **{name: _to_phases(getattr(report, name)) for name, *_ in _AXIOM_LAYOUT})
 
 
 def is_valid_rule(rule: PhaseRule) -> bool:
@@ -297,7 +296,7 @@ def audit_transfer(base: Quandle, rule: PhaseRule, convention: Convention = "xa"
     if not base._axioms.overall:
         raise NotAQuandleError(f"base fails axioms: {base._axioms.summary()}")
 
-    product = product3(base, rule, convention)
+    product = _proven(product3(base, rule, convention))  # a direct product of two quandles
     evaluators = (
         ("involutory", properties.is_involutory),
         ("conjugate identities", properties.conjugate_identities),

@@ -260,17 +260,17 @@ class AxiomReport:
     def summary(self) -> str:
         if self.overall:
             return "all axioms pass"
-        parts = []
-        if not self.idempotency.ok:
-            w = self.idempotency.witnesses[0]
-            parts.append(f"idempotency fails at x={w}")
-        if not self.right_invertibility.ok:
-            y, x1, x2 = self.right_invertibility.witnesses[0]
-            parts.append(f"right invertibility fails at column y={y} (rows {x1},{x2} collide)")
-        if not self.self_distributivity.ok:
-            x, y, z = self.self_distributivity.witnesses[0]
-            parts.append(f"self-distributivity fails at (x,y,z)=({x},{y},{z})")
-        return "; ".join(parts)
+        return "; ".join(f"{label} fails at {prefix}{fmt.format(getattr(self, name).witnesses[0])}"
+                         for name, label, fmt, prefix in _AXIOM_LAYOUT if not getattr(self, name).ok)
+
+
+# (AxiomReport field, label, witness format, summary prefix) per axiom, in report order.
+# A witness is an int (idempotency) or a tuple of cells; each format takes it as argument 0.
+_AXIOM_LAYOUT = (
+    ("idempotency", "idempotency", "x={0}", ""),
+    ("right_invertibility", "right invertibility", "column y={0[0]} (rows {0[1]},{0[2]} collide)", ""),
+    ("self_distributivity", "self-distributivity", "({0[0]},{0[1]},{0[2]})", "(x,y,z)="),
+)
 
 
 _PASSING = AxiomReport(*[AxiomVerdict(True)] * 3, witness_cap=1)  # check_axioms(q, witness_cap=1) of a quandle

@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import BudgetExceededError, Permutation, Quandle, _check_order, translations
+from .core import BudgetExceededError, Permutation, Quandle, _check_order, right_translation, translations
 
 DEFAULT_MATERIALIZE_CAP = 10**6
 
@@ -87,5 +87,7 @@ def _closure(elements: set, frontier: list, gens: list, cap: int) -> None:
 
 def orbits(q: Quandle) -> tuple[tuple[int, ...], ...]:
     """Orbits of the translation group, each ascending, sorted by least element."""
-    translations(q)  # raises NotAQuandleError on a non-bijective column
+    for y, col in enumerate(zip(*q.table), start=1):
+        if len(set(col)) < q.order:  # entries lie in 1..n, so the column is not a bijection
+            right_translation(q, y)  # raises NotAQuandleError naming the repeat
     return q._orbits

@@ -219,6 +219,13 @@ class TestCensus:
     def test_forced_columns_give_the_same_sequence(self, n):
         assert Q.all_quandle_tables(n) == all_quandle_tables_by_columns(n)
 
+    def test_one_profile_per_enumerated_table(self, monkeypatch):
+        calls = []
+        kernel = classify_mod.invariant_profile
+        monkeypatch.setattr(classify_mod, "invariant_profile", lambda q: calls.append(q) or kernel(q))
+        assert len(Q.census(5)) == 22
+        assert len(calls) == len({id(q) for q in calls}) == 218  # classes are sorted on those profiles
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_matches_labeled_census(self, n):
         assert Q.census(n) == census_by_labeled(n)

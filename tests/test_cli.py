@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,15 @@ def order_2_base(tmp_path):
     path.write_text(Q.emit_table(Q.trivial(2)))
     return str(path)
 
+
+@pytest.fixture()
+def all_axioms_fail(tmp_path):
+    path = tmp_path / "bad2.json"
+    path.write_text('{"order": 2, "name": "bad2", "table": [[2, 1], [1, 1]]}')
+    return str(path)
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 SMALL_BASE_WARNING = "warning: product base has order 2; the construction is stated for n >= 3\n"
 
@@ -106,6 +116,24 @@ class TestCheck:
         monkeypatch.setenv("QF_WITNESS_CAP", "many")
         assert main(["check", broken_table]) == 1
 
+    def test_report_bytes_when_every_axiom_fails(self, all_axioms_fail, capsys):
+        assert main(["check", all_axioms_fail, "--witness-cap", "2"]) == 2
+        assert capsys.readouterr().out == (
+            "quandle of order 2 (bad2)\n"
+            "idempotency: FAIL [x=1, x=2]\n"
+            "right invertibility: FAIL [column y=2 (rows 1,2 collide)]\n"
+            "self-distributivity: FAIL [(1,1,2), (1,2,1)]\n"
+            "overall: FAIL\n")
+
+    def test_json_report_bytes_when_every_axiom_fails(self, all_axioms_fail, capsys):
+        assert main(["check", all_axioms_fail, "--witness-cap", "2", "--format", "json"]) == 2
+        expected = {"order": 2, "name": "bad2",
+                    "idempotency": {"ok": False, "witnesses": [1, 2]},
+                    "right_invertibility": {"ok": False, "witnesses": [[2, 1, 2]]},
+                    "self_distributivity": {"ok": False, "witnesses": [[1, 1, 2], [1, 2, 1]]},
+                    "overall": False, "witness_cap": 2}
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
 
 class TestConstruct:
     def test_q1_byte_identical(self, capsys):
@@ -123,6 +151,14 @@ class TestConstruct:
         assert "right invertibility: FAIL" in out
         # failing columns are exactly the phase b=2 columns 3,6,9,12
         assert "column y=3" in out
+
+    @pytest.mark.parametrize("rule,fmt,golden", [("thm31", "text", "construct_thm31_validate.txt"),
+                                                 ("thm32", "json", "construct_thm32_validate.json")])
+    def test_exhaustive_validate_bytes(self, rule, fmt, golden, capsys):
+        argv = ["construct", "--base", "paper:table1", "--rule", rule, "--validate",
+                "--witness-cap", "0", "--format", fmt]
+        assert main(argv) == 2
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
 
     def test_unknown_rule_exits_1(self, capsys):
         assert main(["construct", "--base", "paper:baseB", "--rule", "nope"]) == 1

@@ -43,6 +43,17 @@ class TestValidateRule:
     def test_trivial_rule_passes(self):
         assert Q.validate_rule(Q.trivial_rule()).overall
 
+    def test_witnesses_in_phase_coordinates(self):
+        rule = Q.rule_from_table([[1, 0, 0], [0, 0, 0], [0, 0, 0]])  # fails all three axioms
+        report = Q.validate_rule(rule, witness_cap=None)
+        assert report.idempotency == Q.AxiomVerdict(False, (0, 1, 2))
+        assert report.right_invertibility == Q.AxiomVerdict(False, ((0, 1, 2), (1, 0, 1), (2, 0, 1)))
+        assert report.self_distributivity.witnesses[:3] == ((0, 0, 1), (0, 0, 2), (0, 1, 0))
+        elements = Q.check_axioms(rule.to_quandle(), witness_cap=None)
+        assert report.self_distributivity == Q.AxiomVerdict(False, tuple(
+            (x - 1, y - 1, z - 1) for x, y, z in elements.self_distributivity.witnesses))
+        assert report.witness_cap is None and not report.overall
+
     def test_named_valid_rules_pass(self):
         for name in ("trivial", "dihedral", "swap01", "swap02", "swap12"):
             assert Q.is_valid_rule(Q.named_rules()[name]), name

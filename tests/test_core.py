@@ -184,6 +184,13 @@ class TestCheckAxioms:
         assert report.witness_cap == 2**64 and not report.overall
         assert witnesses(report) == witnesses(Q.validate_rule(rule, witness_cap=None))
 
+    def test_summary_names_the_first_witness_of_each_failing_axiom(self):
+        report = Q.check_axioms(Q.from_table(2, [[2, 1], [1, 1]]))
+        assert report.summary() == ("idempotency fails at x=1; "
+                                    "right invertibility fails at column y=2 (rows 1,2 collide); "
+                                    "self-distributivity fails at (x,y,z)=(1,1,2)")
+        assert Q.check_axioms(Q.TABLE1).summary() == "all axioms pass"
+
 
 def _axiom_inputs():
     bases = [Q.dihedral(n) for n in range(3, 10)] + [Q.trivial(4), Q.TABLE1, Q.BASE_B]
@@ -325,8 +332,15 @@ class TestAxiomVerdictField:
     def test_audit_checks_a_fresh_base_once(self, calls, monkeypatch):
         monkeypatch.setattr(construct_mod, "check_axioms", core_mod.check_axioms)  # validate_rule's
         report = Q.audit_transfer(Q.dihedral(5), Q.dihedral_rule())
-        assert len(calls) == 3  # the rule, the base, the product
-        assert calls[1] is report.base and calls[2] is report.product
+        assert len(calls) == 2  # the rule, the base; the product of two quandles is one
+        assert calls[1] is report.base
+
+    @pytest.mark.parametrize("conv", ["xa", "ax"])
+    def test_audit_product_carries_the_report_a_fresh_check_gives(self, conv):
+        for base in (Q.dihedral(5), Q.TABLE1, Q.BASE_B, Q.trivial(3)):
+            for rule in Q.enumerate_phase_rules():
+                p = Q.audit_transfer(base, rule, conv, alexander_budget=1).product
+                assert p._axioms == Q.check_axioms(Q.Quandle(p.order, p.table), witness_cap=1), (rule.name, conv)
 
 
 class TestApplyAndDual:

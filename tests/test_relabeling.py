@@ -116,8 +116,8 @@ def test_product_decompose_round_trip(data):
 
 def test_dropped_tables_are_freed():
     """The axiom verdict and the other derived data live on the table, so a table
-    that went through every gated entry point is freed once dropped. (inn_group,
-    inner_structure and orbits go through core.translations, a module-level cache.)"""
+    that went through every gated entry point is freed once dropped. (inn_group and
+    inner_structure return core.translations, a module-level cache.)"""
     bases = [Q.dihedral(9), Q.TABLE1, Q.conjugation(Q.symmetric_group(3)), Q.dihedral(7)]
     rng, seen, refs = random.Random(16), set(), []
     for i in range(10**4):
@@ -130,6 +130,7 @@ def test_dropped_tables_are_freed():
         seen.add(r.table)
         Q.ensure_quandle(r)
         Q.invariant_profile(r)
+        Q.orbits(r)
         assert Q.are_isomorphic(r, base).isomorphic
         assert len(Q.classify_family([base, r])) == 1
         Q.alexander_recognize(r, max_order=15)
