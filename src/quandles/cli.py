@@ -421,7 +421,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--convention", choices=("xa", "ax"), default="xa")
     p.add_argument("--alexander-budget", type=int, default=15)
 
-    p = add("census", cmd_census, "representatives of all quandles of one order (n <= 6)")
+    p = add("census", cmd_census, f"representatives of all quandles of one order (n <= {classify_mod.CENSUS_CAP})")
     p.add_argument("n", type=int)
 
     return parser

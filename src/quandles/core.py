@@ -149,29 +149,8 @@ class Quandle:
 
     @cached_property
     def _generators(self) -> tuple[int, ...]:
-        """A greedy generating set under >, 0-based: each member is the least element
-        outside the closure under > of the members before it."""
-        t = self.table
-        inside = [False] * self.order
-        closed: list[int] = []  # the closure so far, in the order it grew
-        gens = []
-        for s in range(self.order):
-            if inside[s]:
-                continue
-            gens.append(s)
-            inside[s] = True
-            closed.append(s)
-            i = len(closed) - 1
-            while i < len(closed):  # combine each new element with itself and those before it
-                e = closed[i]
-                row = t[e]
-                for d in closed[:i + 1]:
-                    for v in (row[d], t[d][e]):
-                        if not inside[v - 1]:
-                            inside[v - 1] = True
-                            closed.append(v - 1)
-                i += 1
-        return tuple(gens)
+        """_greedy_generators of the table: a generating set under >, 0-based."""
+        return _greedy_generators(self.table)
 
     @cached_property
     def _orbits(self) -> tuple[tuple[int, ...], ...]:
@@ -209,6 +188,31 @@ class Quandle:
     def _axioms(self) -> AxiomReport:
         """check_axioms(self, witness_cap=1), the report every axiom gate reads."""
         return check_axioms(self, witness_cap=1)
+
+
+def _greedy_generators(t) -> tuple[int, ...]:
+    """A greedy generating set of the magma with 1-based table t, 0-based: each member is
+    the least element outside the closure under the operation of the members before it."""
+    inside = [False] * len(t)
+    closed: list[int] = []  # the closure so far, in the order it grew
+    gens = []
+    for s in range(len(t)):
+        if inside[s]:
+            continue
+        gens.append(s)
+        inside[s] = True
+        closed.append(s)
+        i = len(closed) - 1
+        while i < len(closed):  # combine each new element with itself and those before it
+            e = closed[i]
+            row = t[e]
+            for d in closed[:i + 1]:
+                for v in (row[d], t[d][e]):
+                    if not inside[v - 1]:
+                        inside[v - 1] = True
+                        closed.append(v - 1)
+            i += 1
+    return tuple(gens)
 
 
 def _check_order(n, what: str = "order") -> None:
@@ -474,12 +478,13 @@ class GroupTable:
             if inv is None:
                 raise ValueError(f"element {x} has no inverse")
             inverses.append(inv)
-        for a in range(n):
-            for b in range(n):
-                ab = table[a][b]
-                for c in range(n):
-                    if table[ab - 1][c] != table[a][table[b][c] - 1]:
-                        raise ValueError(f"not associative at ({a + 1},{b + 1},{c + 1})")
+        if not _generators_associate(table, identity):  # the scan finds the lexicographic witness
+            for a in range(n):
+                for b in range(n):
+                    ab = table[a][b]
+                    for c in range(n):
+                        if table[ab - 1][c] != table[a][table[b][c] - 1]:
+                            raise ValueError(f"not associative at ({a + 1},{b + 1},{c + 1})")
         return GroupTable(n, table, identity, tuple(inverses), name=name)
 
     def mul(self, x: int, y: int) -> int:
@@ -489,8 +494,32 @@ class GroupTable:
         return self.inverses[x - 1]
 
 
+def _generators_associate(t, identity: int) -> bool:
+    """Associativity of the 1-based table t, decided on a generating set (Light's test; Clifford
+    and Preston, The Algebraic Theory of Semigroups I, 1961, section 1.2).
+
+    The a with (xa)y = x(ay) for all x, y are closed under the product: for such a and b,
+    (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y). So checking the a in
+    _greedy_generators(t) decides every a. Each check compares whole rows, row xa against
+    row x read through row a, in O(n^2) per generator; the identity passes and is skipped.
+    """
+    rows = [tuple(map((-1).__add__, row)) for row in t]  # 0-based values, at C speed
+    for a in _greedy_generators(t):
+        if a + 1 != identity:
+            through_a = itemgetter(*rows[a])  # through_a(row x) is the row of x(ay) over y
+            if any(rows[rx[a]] != through_a(rx) for rx in rows):
+                return False
+    return True
+
+
+def _check_group(g) -> None:
+    if not isinstance(g, GroupTable):
+        raise ValueError(f"expected a GroupTable, got {g!r}")
+
+
 def conjugation(g: GroupTable) -> Quandle:
     """The conjugation quandle of a group: x > y = y^-1 x y."""
+    _check_group(g)
     n = g.order
     rows = tuple(
         tuple(g.mul(g.mul(g.inv(y), x), y) for y in range(1, n + 1))
@@ -535,6 +564,8 @@ def dihedral_group(m: int) -> GroupTable:
 
 def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     """Componentwise product group; pair (a, b) has index (a-1)*|h| + b."""
+    _check_group(g)
+    _check_group(h)
     n, m = g.order, h.order
 
     def idx(a, b):

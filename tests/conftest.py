@@ -489,3 +489,69 @@ def inn_group_by_all_translations(q, materialize_cap=10**6):
         frontier = new
     ordered = tuple(sorted(elements, key=lambda p: p.images))
     return Q.PermGroup(generators=tuple(gens), elements=ordered, order=len(ordered))
+
+
+def kept_by_both_cuts(q):
+    """Whether labeled quandle q is one census enumerates, read off its columns by brute
+    force: no column's cycle type is above R_1's, and each R_k is the least of h R_k h^-1
+    over every permutation h fixing 1..k that commutes with R_1..R_{k-1}."""
+    n = q.order
+    cols = [Q.Permutation(col) for col in zip(*q.table)]
+    types = [cycle_type_by_cycles(c) for c in cols]
+    if max(types) != types[0]:
+        return False
+    perms = [Q.Permutation(h) for h in permutations(range(1, n + 1))]
+    for k in range(1, n + 1):
+        for h in perms:
+            if (all(h(x) == x for x in range(1, k + 1)) and all(h.compose(c) == c.compose(h) for c in cols[:k - 1])
+                    and h.compose(cols[k - 1]).compose(h.inverse()).images < cols[k - 1].images):
+                return False
+    return True
+
+
+def associativity_failure_by_scan(t):
+    """The first (a, b, c), lexicographically, with (ab)c != a(bc) in the 1-based table t, else
+    None: the scan GroupTable.from_table ran on every table before Light's test."""
+    n = len(t)
+    for a in range(n):
+        for b in range(n):
+            ab = t[a][b]
+            for c in range(n):
+                if t[ab - 1][c] != t[a][t[b][c] - 1]:
+                    return a + 1, b + 1, c + 1
+    return None
+
+
+@cache
+def random_loops(count, seed, max_order=6):
+    """count seeded Latin squares with an identity, as (table, identity): a reduced square of
+    random order 1..max_order filled cell by cell in random symbol order, then relabeled at random."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, max_order)
+        square = [list(range(1, n + 1))] + [[x] + [0] * (n - 1) for x in range(2, n + 1)]
+
+        def fill(cell):
+            if cell == n * n:
+                return True
+            x, y = divmod(cell, n)
+            if square[x][y]:
+                return fill(cell + 1)
+            used = set(square[x]) | {square[i][y] for i in range(n)}
+            for v in rng.sample(range(1, n + 1), n):
+                if v not in used:
+                    square[x][y] = v
+                    if fill(cell + 1):
+                        return True
+            square[x][y] = 0
+            return False
+
+        fill(0)
+        sigma = rng.sample(range(1, n + 1), n)  # element x becomes sigma[x - 1]
+        table = [[0] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(n):
+                table[sigma[x] - 1][sigma[y] - 1] = sigma[square[x][y] - 1]
+        out.append((tuple(map(tuple, table)), sigma[0]))
+    return tuple(out)

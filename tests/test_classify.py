@@ -8,7 +8,8 @@ import pytest
 import quandles as Q
 
 from conftest import (all_quandle_tables_by_columns, brute_isomorphic, census_by_labeled, derived_data_tables,
-                      is_isomorphism, least_relabeling_by_brute_force, relabel, search_isomorphism_all_pairs)
+                      is_isomorphism, kept_by_both_cuts, least_relabeling_by_brute_force, relabel,
+                      search_isomorphism_all_pairs)
 import quandles.classify as classify_mod
 from quandles.classify import _STAGES
 
@@ -224,7 +225,7 @@ class TestCensus:
         kernel = classify_mod.invariant_profile
         monkeypatch.setattr(classify_mod, "invariant_profile", lambda q: calls.append(q) or kernel(q))
         assert len(Q.census(5)) == 22
-        assert len(calls) == len({id(q) for q in calls}) == 218  # classes are sorted on those profiles
+        assert len(calls) == len({id(q) for q in calls}) == 32  # classes are sorted on those profiles
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_matches_labeled_census(self, n):
@@ -249,22 +250,26 @@ class TestCensus:
                 for t in tables:
                     assert classify_mod._least_relabeling(t).table == least_relabeling_by_brute_force(t)
 
-    @staticmethod
-    def reduced_tables(n):
-        """The labeled tables census(n) enumerates: the first R_1 candidate of each cycle type."""
-        firsts = {}
-        for col in classify_mod._columns_fixing(n, 1):
-            firsts.setdefault(Q.Permutation(col).cycle_type(), col)
-        return classify_mod._tables(n, list(firsts.values()))
-
-    @pytest.mark.parametrize("n, count", [(1, 1), (2, 1), (3, 5), (4, 26), (5, 218)])
+    @pytest.mark.parametrize("n, count", [(1, 1), (2, 1), (3, 3), (4, 7), (5, 32)])
     def test_reduced_tables_meet_every_class(self, n, count):
-        labeled, reduced = Q.all_quandle_tables(n), self.reduced_tables(n)
+        labeled, reduced = Q.all_quandle_tables(n), classify_mod._tables(n, reduced=True)
         assert len(reduced) == count
         assert set(reduced) <= set(labeled)
         classes = Q.classify_family(labeled + reduced)
         assert len(classes) == len(Q.classify_family(labeled))
         assert all(max(c.members) >= len(labeled) for c in classes)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_reduced_tables_are_the_labeled_ones_both_cuts_keep(self, n):
+        # the cuts read off each finished table by brute force, in all_quandle_tables order
+        kept = tuple(q for q in Q.all_quandle_tables(n) if kept_by_both_cuts(q))
+        assert classify_mod._tables(n, reduced=True) == kept
+
+    def test_reduced_counts_at_orders_6_and_7(self):
+        assert len(classify_mod._tables(6, reduced=True)) == 161
+        reduced = classify_mod._tables(7, reduced=True)
+        assert len(reduced) == 1065
+        assert len(classify_mod._keyed_classes(reduced)) == 298  # OEIS A181771
 
     def test_census_does_not_enumerate_every_labeled_table(self, monkeypatch):
         calls = []
@@ -289,7 +294,7 @@ class TestCensus:
 
     def test_out_of_cap(self):
         with pytest.raises(ValueError):
-            Q.census(7)
+            Q.census(8)
         with pytest.raises(ValueError):
             Q.census(0)
 

@@ -8,9 +8,9 @@ import pytest
 import quandles as Q
 import quandles.construct as construct_mod
 import quandles.core as core_mod
-from conftest import (additive_by_pairs, affine_by_add, axioms_by_scan, cycle_type_by_cycles,
-                      derived_data_tables, digits_by_division, order_by_scaling,
-                      orbits_by_union_find, types_by_translations)
+from conftest import (additive_by_pairs, affine_by_add, associativity_failure_by_scan, axioms_by_scan,
+                      cycle_type_by_cycles, derived_data_tables, digits_by_division, order_by_scaling,
+                      orbits_by_union_find, random_loops, types_by_translations)
 
 
 class TestPermutation:
@@ -478,8 +478,55 @@ class TestGroupTable:
         z2 = Q.cyclic_group(2)
         assert Q.direct_product(z2, z2).order == 4
 
+    def test_direct_product_rejects_a_quandle(self):
+        with pytest.raises(ValueError, match=r"expected a GroupTable, got Quandle\(order=3"):
+            Q.direct_product(Q.cyclic_group(2), Q.dihedral(3))
+        with pytest.raises(ValueError, match="expected a GroupTable"):
+            Q.direct_product(Q.dihedral(3), Q.cyclic_group(2))
+
+
+class TestLightsTest:
+    """GroupTable.from_table checks associativity on a generating set; the triple scan is the oracle."""
+
+    def test_agrees_with_the_scan_on_random_loops(self):
+        loops = random_loops(3000, seed=19)
+        verdicts = [core_mod._generators_associate(t, e) for t, e in loops]
+        assert verdicts == [associativity_failure_by_scan(t) is None for t, _ in loops]
+        assert 500 < sum(verdicts) < len(loops) - 500  # both verdicts are well represented
+
+    def test_from_table_keeps_the_lexicographic_witness(self):
+        checked = 0
+        for t, e in random_loops(3000, seed=19):
+            witness = associativity_failure_by_scan(t)
+            two_sided = all(any(t[x][y] == e == t[y][x] for y in range(len(t))) for x in range(len(t)))
+            if witness is None or not two_sided:
+                continue
+            with pytest.raises(ValueError) as err:
+                Q.GroupTable.from_table(t)
+            assert str(err.value) == "not associative at ({},{},{})".format(*witness)
+            checked += 1
+        assert checked > 50
+
+    def test_every_group_the_tests_build_passes(self, group_battery):
+        groups = [*group_battery, Q.symmetric_group(4), Q.dihedral_group(3), Q.dihedral_group(6),
+                  Q.direct_product(Q.symmetric_group(3), Q.cyclic_group(4))]
+        for g in groups:
+            assert associativity_failure_by_scan(g.table) is None, g.name
+            assert core_mod._generators_associate(g.table, g.identity), g.name
+
+    def test_greedy_generators_generate_the_group(self):
+        g = Q.direct_product(Q.symmetric_group(3), Q.cyclic_group(4))
+        closure = {s + 1 for s in core_mod._greedy_generators(g.table)}
+        while (new := {g.mul(a, b) for a in closure for b in closure} - closure):
+            closure |= new
+        assert closure == set(range(1, g.order + 1))
+
 
 class TestConjugation:
+    def test_rejects_a_quandle(self):
+        with pytest.raises(ValueError, match=r"expected a GroupTable, got Quandle\(order=3, name='dihedral\(3\)'\)"):
+            Q.conjugation(Q.dihedral(3))
+
     def test_abelian_group_gives_trivial(self):
         assert Q.conjugation(Q.cyclic_group(3)).table == Q.trivial(3).table
 
