@@ -1,5 +1,9 @@
 """Command-line front end.
 
+Each subcommand returns one ``Result`` (exit code, JSON object, text lines);
+text and JSON are two renderings of the same answer. ``main`` writes the one
+``--format`` picks to stdout once, after the command succeeds.
+
 Exit codes: 0 success / positive verdict, 1 parse, IO, or usage error,
 2 axiom failure, 3 negative verdict (not isomorphic, no factorization).
 The environment variable QF_WITNESS_CAP overrides the default witness cap
@@ -33,7 +37,6 @@ from .formats import (
     TableFormatError,
     emit_phase,
     emit_table,
-    emit_table_json,
     parse_phase_text,
     parse_table,
     phase_obj,
@@ -44,6 +47,8 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_AXIOM = 2
 EXIT_NEGATIVE = 3
+
+Result = tuple[int, dict, list[str]]
 
 
 class UsageError(Exception):
@@ -77,7 +82,7 @@ def _load_rule(spec: str) -> construct_mod.PhaseRule:
 
 
 def _witness_cap(args) -> int | None:
-    if getattr(args, "witness_cap", None) is not None:
+    if args.witness_cap is not None:
         v = args.witness_cap
     else:
         env = os.environ.get("QF_WITNESS_CAP")
@@ -105,14 +110,16 @@ def _fmt_bool(v) -> str:
     return "true" if v else "false"
 
 
-def _print_report(report: AxiomReport) -> None:
+def _report_lines(report: AxiomReport) -> list[str]:
+    lines = []
     for name, label, fmt, _ in _AXIOM_LAYOUT:
         verdict = getattr(report, name)
         if verdict.ok:
-            print(f"{label}: pass")
+            lines.append(f"{label}: pass")
         else:
-            print(f"{label}: FAIL [{', '.join(map(fmt.format, verdict.witnesses))}]")
-    print(f"overall: {'PASS' if report.overall else 'FAIL'}")
+            lines.append(f"{label}: FAIL [{', '.join(map(fmt.format, verdict.witnesses))}]")
+    lines.append(f"overall: {'PASS' if report.overall else 'FAIL'}")
+    return lines
 
 
 def _report_obj(report: AxiomReport) -> dict:
@@ -121,123 +128,67 @@ def _report_obj(report: AxiomReport) -> dict:
     return {**obj, "overall": report.overall, "witness_cap": report.witness_cap}
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> Result:
     q = _load_quandle(args.input)
     report = check_axioms(q, witness_cap=_witness_cap(args))
-    if args.format == "json":
-        obj = {"order": q.order, "name": q.name, **_report_obj(report)}
-        print(json.dumps(obj, indent=2))
-    else:
-        label = f" ({q.name})" if q.name else ""
-        print(f"quandle of order {q.order}{label}")
-        _print_report(report)
-    return EXIT_OK if report.overall else EXIT_AXIOM
+    obj = {"order": q.order, "name": q.name, **_report_obj(report)}
+    label = f" ({q.name})" if q.name else ""
+    lines = [f"quandle of order {q.order}{label}", *_report_lines(report)]
+    return (EXIT_OK if report.overall else EXIT_AXIOM), obj, lines
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> Result:
     base = _load_quandle(args.base)
     rule = _load_rule(args.rule)
-    cap = _witness_cap(args) if args.validate else None  # a bad cap fails before any warning
+    cap = _witness_cap(args)  # a bad cap fails before any warning
     product = construct_mod.product3(base, rule, args.convention)
-    code = EXIT_OK
-    if args.validate:
-        report = check_axioms(product, witness_cap=cap)
-        if args.format == "json":
-            print(json.dumps({**table_obj(product), "report": _report_obj(report)}, indent=2))
-        else:
-            sys.stdout.write(emit_table(product))
-            _print_report(report)
-        code = EXIT_OK if report.overall else EXIT_AXIOM
-    else:
-        if args.format == "json":
-            sys.stdout.write(emit_table_json(product))
-        else:
-            sys.stdout.write(emit_table(product))
-    return code
+    obj, lines = table_obj(product), emit_table(product).splitlines()
+    if not args.validate:
+        return EXIT_OK, obj, lines
+    report = check_axioms(product, witness_cap=cap)
+    code = EXIT_OK if report.overall else EXIT_AXIOM
+    return code, {**obj, "report": _report_obj(report)}, lines + _report_lines(report)
 
 
-def cmd_inn(args) -> int:
+def cmd_inn(args) -> Result:
     q = _load_quandle(args.input)
     structure = inner_mod.inner_structure(q)
-    group = group_error = None
+    obj = {
+        "order": q.order,
+        "name": q.name,
+        "generators": [
+            {"element": y, "cycles": [list(c) for c in p.cycles()], "order": o}
+            for y, (p, o) in enumerate(zip(structure.translations, structure.orders), start=1)
+        ],
+        "count_of_order": {str(k): v for k, v in structure.count_of_order.items()},
+    }
+    lines = structure.lines() + [f"order {k}: {v}" for k, v in structure.count_of_order.items()]
     try:
         group = inner_mod.inn_group(q)
     except BudgetExceededError as err:
-        group_error = str(err)
+        obj["group"] = {"error": str(err)}
+        lines.append(f"inner group: {err}")
     else:
         counts = Counter(p.order() for p in group.elements)
-    if args.format == "json":
-        obj = {
-            "order": q.order,
-            "name": q.name,
-            "generators": [
-                {"element": y, "cycles": [list(c) for c in p.cycles()], "order": o}
-                for y, (p, o) in enumerate(zip(structure.translations, structure.orders), start=1)
-            ],
-            "count_of_order": {str(k): v for k, v in structure.count_of_order.items()},
-        }
-        if group is not None:
-            obj["group"] = {"order": group.order,
-                            "count_of_order": {str(k): counts[k] for k in sorted(counts)}}
-        else:
-            obj["group"] = {"error": group_error}
-        print(json.dumps(obj, indent=2))
-    else:
-        for line in structure.lines():
-            print(line)
-        for k, v in structure.count_of_order.items():
-            print(f"order {k}: {v}")
-        if group is not None:
-            spectrum = ", ".join(f"{k}: {counts[k]}" for k in sorted(counts))
-            print(f"inner group order: {group.order}")
-            print(f"inner group element orders: {spectrum}")
-        else:
-            print(f"inner group: {group_error}")
-    return EXIT_OK
+        spectrum = {str(k): counts[k] for k in sorted(counts)}
+        obj["group"] = {"order": group.order, "count_of_order": spectrum}
+        lines.append(f"inner group order: {group.order}")
+        lines.append("inner group element orders: " + ", ".join(f"{k}: {v}" for k, v in spectrum.items()))
+    return EXIT_OK, obj, lines
 
 
-def _alexander_summary(q: Quandle, budget: int):
-    try:
-        witness = props_mod.alexander_recognize(q, max_order=budget)
-    except BudgetExceededError as err:
-        return None, str(err)
-    return witness, None
-
-
-def cmd_props(args) -> int:
+def cmd_props(args) -> Result:
     q = _load_quandle(args.input)
     profile = classify_mod.invariant_profile(q)
     flags = {name: getattr(profile, name)
              for name in ("involutory", "abelian", "left_distributive", "connected", "cyclic_type")}
-    witness, budget_note = _alexander_summary(q, args.alexander_budget)
-    orbit_list = inner_mod.orbits(q)
-    cent_sizes = [len(props_mod.centralizer(q, a)) for a in range(1, q.order + 1)]
-    if args.format == "json":
-        if budget_note is not None:
-            alexander = {"recognized": None, "reason": budget_note}
-        elif witness is None:
-            alexander = {"recognized": False}
-        else:
-            alexander = {
-                "recognized": True,
-                "group": list(witness.group.cyclic_factors),
-                "generator_images": list(witness.generator_images),
-                "iso": list(witness.iso.images),
-            }
-        obj = {"order": q.order, "name": q.name, **flags,
-               "alexander": alexander,
-               "orbits": [list(o) for o in orbit_list],
-               "centralizer_sizes": cent_sizes}
-        print(json.dumps(obj, indent=2))
+    try:
+        witness = props_mod.alexander_recognize(q, max_order=args.alexander_budget)
+    except BudgetExceededError as err:
+        alexander, alexander_text = {"recognized": None, "reason": str(err)}, str(err)
     else:
-        print(f"order: {q.order}" + (f" ({q.name})" if q.name else ""))
-        for key, value in flags.items():
-            print(f"{key.replace('_', ' ')}: {_fmt_bool(value)}")
-        if budget_note is not None:
-            print(f"alexander: {budget_note}")
-        elif witness is None:
-            print("alexander: none")
-        else:
+        alexander, alexander_text = {"recognized": False}, "none"
+        if witness is not None:
             group = witness.group
 
             def residue(img):
@@ -247,128 +198,120 @@ def cmd_props(args) -> int:
             images = ", ".join(f"e{i} -> {residue(img)}"
                                for i, img in enumerate(witness.generator_images, start=1))
             images = images or "identity on the trivial group"
-            print(f"alexander: yes ({group.describe()}; {images})")
-        print("orbits: " + " ".join("{" + ",".join(map(str, o)) + "}" for o in orbit_list))
-        print("centralizer sizes: " + " ".join(map(str, cent_sizes)))
-    return EXIT_OK
+            alexander = {
+                "recognized": True,
+                "group": list(group.cyclic_factors),
+                "generator_images": list(witness.generator_images),
+                "iso": list(witness.iso.images),
+            }
+            alexander_text = f"yes ({group.describe()}; {images})"
+    orbit_list = inner_mod.orbits(q)
+    cent_sizes = [len(props_mod.centralizer(q, a)) for a in range(1, q.order + 1)]
+    obj = {"order": q.order, "name": q.name, **flags,
+           "alexander": alexander,
+           "orbits": [list(o) for o in orbit_list],
+           "centralizer_sizes": cent_sizes}
+    lines = [f"order: {q.order}" + (f" ({q.name})" if q.name else "")]
+    lines += [f"{key.replace('_', ' ')}: {_fmt_bool(value)}" for key, value in flags.items()]
+    lines.append(f"alexander: {alexander_text}")
+    lines.append("orbits: " + " ".join("{" + ",".join(map(str, o)) + "}" for o in orbit_list))
+    lines.append("centralizer sizes: " + " ".join(map(str, cent_sizes)))
+    return EXIT_OK, obj, lines
 
 
-def cmd_iso(args) -> int:
+def cmd_iso(args) -> Result:
     q1 = _load_quandle(args.first)
     q2 = _load_quandle(args.second)
     result = classify_mod.are_isomorphic(q1, q2)
-    if args.format == "json":
-        obj = {"isomorphic": result.isomorphic,
-               "mapping": list(result.mapping.images) if result.mapping else None,
-               "certificate": result.certificate}
-        print(json.dumps(obj, indent=2))
-    else:
-        print(result.verdict)
-        if result.mapping is not None:
-            print("mapping: " + " ".join(map(str, result.mapping.images)))
-        if result.certificate is not None:
-            print(f"certificate: {result.certificate}")
-    return EXIT_OK if result.isomorphic else EXIT_NEGATIVE
+    obj = {"isomorphic": result.isomorphic,
+           "mapping": list(result.mapping.images) if result.mapping else None,
+           "certificate": result.certificate}
+    lines = [result.verdict]
+    if result.mapping is not None:
+        lines.append("mapping: " + " ".join(map(str, result.mapping.images)))
+    if result.certificate is not None:
+        lines.append(f"certificate: {result.certificate}")
+    return (EXIT_OK if result.isomorphic else EXIT_NEGATIVE), obj, lines
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> Result:
     qs = [_load_quandle(spec) for spec in args.inputs]
     classes = classify_mod.classify_family(qs)
-    if args.format == "json":
-        obj = {"classes": len(classes),
-               "members": [[args.inputs[i] for i in cls.members] for cls in classes],
-               "representatives": [table_obj(cls.representative) for cls in classes]}
-        print(json.dumps(obj, indent=2))
-    else:
-        print(f"classes: {len(classes)}")
-        for i, cls in enumerate(classes, start=1):
-            labels = ", ".join(args.inputs[m] for m in cls.members)
-            print(f"class {i}: {labels}")
-    return EXIT_OK
+    obj = {"classes": len(classes),
+           "members": [[args.inputs[i] for i in cls.members] for cls in classes],
+           "representatives": [table_obj(cls.representative) for cls in classes]}
+    lines = [f"classes: {len(classes)}"]
+    for i, cls in enumerate(classes, start=1):
+        labels = ", ".join(args.inputs[m] for m in cls.members)
+        lines.append(f"class {i}: {labels}")
+    return EXIT_OK, obj, lines
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> Result:
     q = _load_quandle(args.input)
     result = construct_mod.decompose3(q, args.convention)
     if result is None:
-        if args.format == "json":
-            print(json.dumps({"factors": None, "convention": args.convention}, indent=2))
-        else:
-            print(f"no factorization under convention {args.convention}")
-        return EXIT_NEGATIVE
+        return (EXIT_NEGATIVE, {"factors": None, "convention": args.convention},
+                [f"no factorization under convention {args.convention}"])
     base, rule = result
     base_key = _match_builtin(base)
-    if args.format == "json":
-        obj = {"convention": args.convention,
-               "base": {**table_obj(base), "builtin": base_key},
-               "rule": phase_obj(rule)}
-        print(json.dumps(obj, indent=2))
+    obj = {"convention": args.convention,
+           "base": {**table_obj(base), "builtin": base_key},
+           "rule": phase_obj(rule)}
+    if base_key:
+        lines = [f"base = {base_key}"]
     else:
-        if base_key:
-            print(f"base = {base_key}")
-        else:
-            print("base:")
-            sys.stdout.write(emit_table(base))
-        if rule.name:
-            print(f"rule = {rule.name}")
-        else:
-            print("rule:")
-            sys.stdout.write(emit_phase(rule))
-    return EXIT_OK
+        lines = ["base:", *emit_table(base).splitlines()]
+    if rule.name:
+        lines.append(f"rule = {rule.name}")
+    else:
+        lines += ["rule:", *emit_phase(rule).splitlines()]
+    return EXIT_OK, obj, lines
 
 
-def cmd_audit(args) -> int:
+def cmd_audit(args) -> Result:
     base = _load_quandle(args.base)
     rule = _load_rule(args.rule)
     report = construct_mod.audit_transfer(base, rule, args.convention,
                                           alexander_budget=args.alexander_budget)
-    if args.format == "json":
-        obj = {
-            "base": {**table_obj(base), "builtin": _match_builtin(base)},
-            "rule": phase_obj(rule),
-            "convention": args.convention,
-            "product_order": report.product.order,
-            "records": [
-                {"property": r.property, "base": r.holds_on_base,
-                 "product": r.holds_on_product, "claim": r.claim, "agrees": r.agrees}
-                for r in report.records
-            ],
-        }
-        print(json.dumps(obj, indent=2))
+    obj = {
+        "base": {**table_obj(base), "builtin": _match_builtin(base)},
+        "rule": phase_obj(rule),
+        "convention": args.convention,
+        "product_order": report.product.order,
+        "records": [
+            {"property": r.property, "base": r.holds_on_base,
+             "product": r.holds_on_product, "claim": r.claim, "agrees": r.agrees}
+            for r in report.records
+        ],
+    }
+    width = max(len(r.property) for r in report.records)
+    lines = [f"base: {base.name or args.base} (order {base.order})",
+             f"rule: {rule.name or args.rule}",
+             f"convention: {args.convention}",
+             f"product order: {report.product.order}",
+             f"{'property'.ljust(width)}  base     product  claim  agrees"]
+    for r in report.records:
+        agrees = "yes" if r.agrees else "NO" if r.agrees is False else "unknown"
+        lines.append(f"{r.property.ljust(width)}  {_fmt_bool(r.holds_on_base).ljust(7)}  "
+                     f"{_fmt_bool(r.holds_on_product).ljust(7)}  {r.claim.ljust(5)}  {agrees}")
+    bad = report.disagreements()
+    if bad:
+        names = ", ".join(r.property for r in bad)
+        lines.append(f"disagreements: {len(bad)} ({names})")
     else:
-        base_label = base.name or args.base
-        rule_label = rule.name or args.rule
-        print(f"base: {base_label} (order {base.order})")
-        print(f"rule: {rule_label}")
-        print(f"convention: {args.convention}")
-        print(f"product order: {report.product.order}")
-        width = max(len(r.property) for r in report.records)
-        print(f"{'property'.ljust(width)}  base     product  claim  agrees")
-        for r in report.records:
-            agrees = "yes" if r.agrees else "NO" if r.agrees is False else "unknown"
-            print(f"{r.property.ljust(width)}  {_fmt_bool(r.holds_on_base).ljust(7)}  "
-                  f"{_fmt_bool(r.holds_on_product).ljust(7)}  {r.claim.ljust(5)}  {agrees}")
-        bad = report.disagreements()
-        if bad:
-            names = ", ".join(r.property for r in bad)
-            print(f"disagreements: {len(bad)} ({names})")
-        else:
-            print("disagreements: none")
-    return EXIT_OK
+        lines.append("disagreements: none")
+    return EXIT_OK, obj, lines
 
 
-def cmd_census(args) -> int:
+def cmd_census(args) -> Result:
     reps = classify_mod.census(args.n)
-    if args.format == "json":
-        obj = {"order": args.n, "classes": len(reps),
-               "representatives": [table_obj(q) for q in reps]}
-        print(json.dumps(obj, indent=2))
-    else:
-        print(f"census order {args.n}: {len(reps)} classes")
-        for q in reps:
-            print()
-            sys.stdout.write(emit_table(q))
-    return EXIT_OK
+    obj = {"order": args.n, "classes": len(reps),
+           "representatives": [table_obj(q) for q in reps]}
+    lines = [f"census order {args.n}: {len(reps)} classes"]
+    for q in reps:
+        lines += ["", *emit_table(q).splitlines()]
+    return EXIT_OK, obj, lines
 
 
 def _build_parser() -> _Parser:
@@ -433,7 +376,11 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             args = parser.parse_args(argv)
-            return args.func(args)
+            code, obj, lines = args.func(args)
+            text = json.dumps(obj, indent=2) if args.format == "json" else "\n".join(lines)
+            # the one stdout write; inside the try, so a closed pipe is one error line
+            sys.stdout.write(text + "\n")
+            return code
         except NotAQuandleError as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_AXIOM

@@ -1,6 +1,13 @@
+import contextlib
+import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -183,8 +190,9 @@ class TestConstruct:
         assert leaked == []
         assert capsys.readouterr() == (expected, SMALL_BASE_WARNING)
 
-    def test_bad_witness_cap_fails_before_the_small_base_warning(self, order_2_base, capsys):
-        argv = ["construct", "--base", order_2_base, "--rule", "trivial", "--validate", "--witness-cap", "-1"]
+    @pytest.mark.parametrize("validate", [["--validate"], []], ids=["validate", "no-validate"])
+    def test_bad_witness_cap_fails_before_the_small_base_warning(self, validate, order_2_base, capsys):
+        argv = ["construct", "--base", order_2_base, "--rule", "trivial", *validate, "--witness-cap", "-1"]
         with warnings.catch_warnings(record=True) as raised:
             warnings.simplefilter("always")
             assert main(argv) == 1
@@ -353,3 +361,159 @@ class TestDeterminism:
 
     def test_usage_error_exits_1(self, capsys):
         assert main(["check"]) == 1
+
+
+# Byte matrix: exit code and sha256 of stdout and stderr for fixed invocations,
+# recorded in tests/golden/cli_matrix.json. The inputs are written into the
+# working directory under fixed names, since a file's name shows up in the
+# output. Regenerate the golden file (only when a change of output is
+# intended) with: PYTHONPATH=src python tests/test_cli.py
+MATRIX_FILES = {
+    "broken.txt": "quandle 2\n1 2\n1 2\n",
+    "bad.json": '{"order": 2, "table": [[1,2],[1,2]]}',
+    "bad2.json": '{"order": 2, "name": "bad2", "table": [[2, 1], [1, 1]]}',
+    "trivial2.txt": Q.emit_table(Q.trivial(2)),
+    "d3.txt": Q.emit_table(Q.dihedral(3)),
+    "d9.txt": Q.emit_table(Q.dihedral(9)),
+    # decomposes into a base that is no builtin and a rule that has no name
+    "unnamed9.txt": Q.emit_table(Q.product3(Q.dihedral(3), Q.PhaseRule(((0, 2, 1), (0, 1, 0), (0, 0, 2))))),
+    "swap01.phase": Q.emit_phase(Q.swap_rule(0, 1)),
+}
+
+MATRIX = [
+    "check paper:q1",
+    "check paper:q1 --format json",
+    "check broken.txt",
+    "check broken.txt --format json",
+    "check bad2.json --witness-cap 2",
+    "check bad2.json --witness-cap 0 --format json",
+    "QF_WITNESS_CAP=1 check broken.txt --format json",
+    "QF_WITNESS_CAP=many check broken.txt",
+    "check paper:q1 --witness-cap -3",
+    "check no-such-file.txt",
+    "construct --base paper:baseB --rule trivial",
+    "construct --base paper:baseB --rule swap01 --format json",
+    "construct --base paper:baseB --rule swap01.phase --convention ax",
+    "construct --base paper:baseB --rule trivial --validate",
+    "construct --base paper:baseB --rule trivial --validate --format json",
+    "construct --base paper:table1 --rule thm31 --validate",
+    "construct --base paper:table1 --rule thm32 --validate --format json",
+    "construct --base trivial2.txt --rule trivial",
+    "construct --base trivial2.txt --rule trivial --format json",
+    "construct --base trivial2.txt --rule trivial --validate --witness-cap -1",
+    "construct --base paper:baseB --rule nope",
+    "inn paper:q1",
+    "inn paper:q2 --format json",
+    "inn d3.txt",
+    "inn bad.json",
+    "props paper:q1",
+    "props paper:q1 --format json",
+    "props paper:table1",
+    "props paper:table1 --format json",
+    "props trivial2.txt",
+    "props paper:q1 --alexander-budget 3",
+    "props paper:q1 --alexander-budget 3 --format json",
+    "props bad.json",
+    "iso paper:q1 paper:q2",
+    "iso paper:q1 paper:q2 --format json",
+    "iso paper:q1 paper:q1",
+    "iso paper:q1 paper:q1 --format json",
+    "classify paper:q1 paper:q2 paper:q1",
+    "classify paper:q1 paper:q2 paper:q1 --format json",
+    "decompose paper:q1",
+    "decompose paper:q2 --format json",
+    "decompose unnamed9.txt",
+    "decompose unnamed9.txt --format json",
+    "decompose d9.txt",
+    "decompose d9.txt --format json",
+    "decompose d9.txt --convention ax",
+    "audit --base paper:table1 --rule trivial",
+    "audit --base paper:table1 --rule trivial --format json",
+    "audit --base d3.txt --rule trivial",
+    "audit --base paper:table1 --rule trivial --alexander-budget 3",
+    "audit --base paper:table1 --rule trivial --alexander-budget 3 --format json",
+    "audit --base trivial2.txt --rule trivial",
+    "audit --base trivial2.txt --rule trivial --format json",
+    "audit --base paper:table1 --rule thm31",
+    "audit --base bad.json --rule trivial",
+    "census 1",
+    "census 2",
+    "census 3",
+    "census 4",
+    "census 5",
+    "census 6",
+    "census 3 --format json",
+    "census 9",
+    "check",
+]
+
+MATRIX_GOLDEN = GOLDEN / "cli_matrix.json"
+
+
+def run_matrix_case(case: str) -> dict:
+    """Run one case in process, in a working directory holding MATRIX_FILES.
+    Leading NAME=value words set environment variables for the run."""
+    words = case.split()
+    env = {}
+    while "=" in words[0]:
+        key, value = words.pop(0).split("=", 1)
+        env[key] = value
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env):
+        if "QF_WITNESS_CAP" not in env:
+            os.environ.pop("QF_WITNESS_CAP", None)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(words)
+    return {"exit": code,
+            "stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest()}
+
+
+def write_matrix_files(root: Path) -> None:
+    for name, text in MATRIX_FILES.items():
+        (root / name).write_text(text, encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", MATRIX)
+def test_cli_matrix_bytes(case, tmp_path, monkeypatch):
+    write_matrix_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    golden = json.loads(MATRIX_GOLDEN.read_text(encoding="utf-8"))
+    assert run_matrix_case(case) == golden[case]
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_is_one_error_line_and_exit_1():
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_ClosedPipe()), contextlib.redirect_stderr(err):
+        code = main(["census", "3"])
+    assert code == 1
+    assert err.getvalue() == "error: [Errno 32] Broken pipe\n"
+
+
+def test_module_entry_point_matches_main(capsys):
+    argv = ["iso", "paper:q1", "paper:q2"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "quandles.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert main(argv) == 3
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, capsys.readouterr().out, "")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        write_matrix_files(Path(tmp))
+        here = os.getcwd()
+        os.chdir(tmp)
+        try:
+            golden = {case: run_matrix_case(case) for case in MATRIX}
+        finally:
+            os.chdir(here)
+    MATRIX_GOLDEN.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")
