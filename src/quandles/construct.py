@@ -162,6 +162,9 @@ def enumerate_phase_rules() -> tuple[PhaseRule, ...]:
 
 def pair_to_index(convention: Convention, n: int, x: int, a: int) -> int:
     """Flatten (x, a) in {1..n} x Z_3 to {1..3n}."""
+    _check_order(n)
+    if type(x) is not int or not 1 <= x <= n or type(a) is not int or a not in PHASES:
+        raise ValueError(f"pair ({x!r}, {a!r}) is not in 1..{n} x 0..2")
     if convention == "xa":
         return 3 * (x - 1) + a + 1
     if convention == "ax":
@@ -170,6 +173,9 @@ def pair_to_index(convention: Convention, n: int, x: int, a: int) -> int:
 
 
 def index_to_pair(convention: Convention, n: int, k: int) -> tuple[int, int]:
+    _check_order(n)
+    if type(k) is not int or not 1 <= k <= 3 * n:
+        raise ValueError(f"index {k!r} is not in 1..{3 * n}")
     if convention == "xa":
         return (k - 1) // 3 + 1, (k - 1) % 3
     if convention == "ax":
@@ -177,16 +183,19 @@ def index_to_pair(convention: Convention, n: int, k: int) -> tuple[int, int]:
     raise ValueError(f"unknown convention {convention!r}")
 
 
+def _pair_layout(convention: Convention, n: int):
+    """The pairs (x, a) in index order, and the 1-based index of each pair."""
+    pairs = [index_to_pair(convention, n, k) for k in range(1, 3 * n + 1)]
+    return pairs, {pair: k for k, pair in enumerate(pairs, start=1)}
+
+
 def _product_table(base: Quandle, rule: PhaseRule, convention: Convention):
-    n = base.order
-    n3 = 3 * n
-    pairs = [index_to_pair(convention, n, k) for k in range(1, n3 + 1)]
+    pairs, index = _pair_layout(convention, base.order)
     rows = []
     for x, a in pairs:
         brow = base.table[x - 1]
         frow = rule.f[a]
-        rows.append(tuple(
-            pair_to_index(convention, n, brow[y - 1], frow[b]) for y, b in pairs))
+        rows.append(tuple(index[brow[y - 1], frow[b]] for y, b in pairs))
     return tuple(rows)
 
 
@@ -201,9 +210,7 @@ def product3(base: Quandle, rule: PhaseRule, convention: Convention = "xa") -> Q
         warnings.warn(
             f"product base has order {base.order}; the construction is stated for n >= 3",
             stacklevel=2)
-    name = None
-    if base.name and rule.name:
-        name = f"{base.name}*{rule.name}"
+    name = f"{base.name}*{rule.name}" if base.name and rule.name else None
     return Quandle(3 * base.order, _product_table(base, rule, convention), name=name)
 
 
@@ -217,18 +224,13 @@ def decompose3(q: Quandle, convention: Convention = "xa"):
     if q.order % 3:
         raise ValueError(f"order {q.order} is not divisible by 3")
     n = q.order // 3
-    base_rows = tuple(
-        tuple(index_to_pair(convention, n,
-                            q.table[pair_to_index(convention, n, x, 0) - 1]
-                                   [pair_to_index(convention, n, y, 0) - 1])[0]
-              for y in range(1, n + 1))
-        for x in range(1, n + 1))
-    f = tuple(
-        tuple(index_to_pair(convention, n,
-                            q.table[pair_to_index(convention, n, 1, a) - 1]
-                                   [pair_to_index(convention, n, 1, b) - 1])[1]
-              for b in PHASES)
-        for a in PHASES)
+    pairs, index = _pair_layout(convention, n)
+
+    def cell(u, v):  # the pair u > v in q
+        return pairs[q.table[index[u] - 1][index[v] - 1] - 1]
+
+    base_rows = tuple(tuple(cell((x, 0), (y, 0))[0] for y in range(1, n + 1)) for x in range(1, n + 1))
+    f = tuple(tuple(cell((1, a), (1, b))[1] for b in PHASES) for a in PHASES)
     try:
         base = Quandle(n, base_rows)
         rule = PhaseRule(f, name=_match_rule_name(f))

@@ -451,9 +451,28 @@ class GroupTable:
 
     order: int
     table: tuple[tuple[int, ...], ...]
-    identity: int
-    inverses: tuple[int, ...]
     name: str | None = field(default=None, compare=False)
+    identity: int = field(init=False)  # read off the table, as are the inverses
+    inverses: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        n, table = self.order, self.table
+        _check_square(n, table)
+        elements = range(1, n + 1)
+        identity = next((e for e in elements
+                         if all(table[e - 1][x - 1] == x == table[x - 1][e - 1] for x in elements)), None)
+        if identity is None:
+            raise ValueError("no identity element")
+        inverses = tuple(next((y for y in elements if table[x - 1][y - 1] == identity == table[y - 1][x - 1]), None)
+                         for x in elements)
+        if None in inverses:
+            raise ValueError(f"element {inverses.index(None) + 1} has no inverse")
+        if not _generators_associate(table, identity):  # the scan finds the lexicographic witness
+            a, b, c = next((a, b, c) for a, b, c in _cartesian(range(n), repeat=3)
+                           if table[table[a][b] - 1][c] != table[a][table[b][c] - 1])
+            raise ValueError(f"not associative at ({a + 1},{b + 1},{c + 1})")
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "inverses", inverses)
 
     def __repr__(self) -> str:
         label = f", name={self.name!r}" if self.name else ""
@@ -462,30 +481,7 @@ class GroupTable:
     @staticmethod
     def from_table(rows, name=None) -> "GroupTable":
         table = tuple(tuple(row) for row in rows)
-        n = len(table)
-        _check_square(n, table)
-        identity = None
-        for e in range(1, n + 1):
-            if all(table[e - 1][x - 1] == x and table[x - 1][e - 1] == x for x in range(1, n + 1)):
-                identity = e
-                break
-        if identity is None:
-            raise ValueError("no identity element")
-        inverses = []
-        for x in range(1, n + 1):
-            inv = next((y for y in range(1, n + 1)
-                        if table[x - 1][y - 1] == identity and table[y - 1][x - 1] == identity), None)
-            if inv is None:
-                raise ValueError(f"element {x} has no inverse")
-            inverses.append(inv)
-        if not _generators_associate(table, identity):  # the scan finds the lexicographic witness
-            for a in range(n):
-                for b in range(n):
-                    ab = table[a][b]
-                    for c in range(n):
-                        if table[ab - 1][c] != table[a][table[b][c] - 1]:
-                            raise ValueError(f"not associative at ({a + 1},{b + 1},{c + 1})")
-        return GroupTable(n, table, identity, tuple(inverses), name=name)
+        return GroupTable(len(table), table, name=name)
 
     def mul(self, x: int, y: int) -> int:
         return self.table[x - 1][y - 1]
@@ -527,60 +523,41 @@ def conjugation(g: GroupTable) -> Quandle:
     return Quandle(n, rows, name=f"conj({g.name})" if g.name else None)
 
 
+def _cayley(elements, product) -> tuple[tuple[int, ...], ...]:
+    """The 1-based table of product on elements, each element numbered by its position in the list."""
+    index = {e: i for i, e in enumerate(elements, start=1)}
+    return tuple(tuple(index[product(a, b)] for b in elements) for a in elements)
+
+
 def cyclic_group(n: int) -> GroupTable:
+    """Z_n; element k + 1 is the residue k."""
     _check_order(n)
-    rows = tuple(tuple((x + y - 2) % n + 1 for y in range(1, n + 1)) for x in range(1, n + 1))
-    return GroupTable.from_table(rows, name=f"Z{n}")
+    return GroupTable.from_table(_cayley(range(n), lambda a, b: (a + b) % n), name=f"Z{n}")
 
 
 def symmetric_group(m: int) -> GroupTable:
     """S_m on m letters; elements ordered lexicographically by image tuple. Desk scale only."""
     _check_order(m, "degree")
-    elems = sorted(_permutations(range(1, m + 1)))
-    index = {p: i + 1 for i, p in enumerate(elems)}
-    rows = tuple(
-        tuple(index[tuple(p[q[i] - 1] for i in range(m))] for q in elems)
-        for p in elems)
-    return GroupTable.from_table(rows, name=f"S{m}")
+    elements = sorted(_permutations(range(1, m + 1)))
+    return GroupTable.from_table(_cayley(elements, lambda p, q: tuple(p[i - 1] for i in q)), name=f"S{m}")
 
 
 def dihedral_group(m: int) -> GroupTable:
-    """D_m of order 2m: pairs (rotation a, flip b) with index b*m + a + 1."""
+    """D_m of order 2m: pairs (rotation a, flip b), flips outermost, so (a, b) is element b*m + a + 1."""
     _check_order(m, "m")
-
-    def idx(a, b):
-        return b * m + a + 1
-
-    rows = []
-    for k in range(1, 2 * m + 1):
-        a1, b1 = (k - 1) % m, (k - 1) // m
-        row = []
-        for j in range(1, 2 * m + 1):
-            a2, b2 = (j - 1) % m, (j - 1) // m
-            row.append(idx((a1 + (a2 if b1 == 0 else -a2)) % m, b1 ^ b2))
-        rows.append(tuple(row))
-    return GroupTable.from_table(tuple(rows), name=f"D{m}")
+    elements = [(a, b) for b in (0, 1) for a in range(m)]
+    return GroupTable.from_table(_cayley(
+        elements, lambda p, q: ((p[0] + (-q[0] if p[1] else q[0])) % m, p[1] ^ q[1])), name=f"D{m}")
 
 
 def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
-    """Componentwise product group; pair (a, b) has index (a-1)*|h| + b."""
+    """Componentwise product group; pairs (a, b) with b fastest, so (a, b) is element (a-1)*|h| + b."""
     _check_group(g)
     _check_group(h)
-    n, m = g.order, h.order
-
-    def idx(a, b):
-        return (a - 1) * m + b
-
-    rows = []
-    for a1 in range(1, n + 1):
-        for b1 in range(1, m + 1):
-            row = []
-            for a2 in range(1, n + 1):
-                for b2 in range(1, m + 1):
-                    row.append(idx(g.mul(a1, a2), h.mul(b1, b2)))
-            rows.append(tuple(row))
+    elements = list(_cartesian(range(1, g.order + 1), range(1, h.order + 1)))
     name = f"{g.name}x{h.name}" if g.name and h.name else None
-    return GroupTable.from_table(tuple(rows), name=name)
+    return GroupTable.from_table(_cayley(
+        elements, lambda p, q: (g.mul(p[0], q[0]), h.mul(p[1], q[1]))), name=name)
 
 
 @dataclass(frozen=True)

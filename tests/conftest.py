@@ -383,6 +383,20 @@ def order_by_scaling(group, i):
     return k
 
 
+def product_by_definition(base, rule, convention):
+    """The order-3n table (x, a) > (y, b) = (x > y, f(a, b)), cell by cell through pair_to_index:
+    the library's former _product_table, verbatim."""
+    n = base.order
+    pairs = [Q.index_to_pair(convention, n, k) for k in range(1, 3 * n + 1)]
+    rows = []
+    for x, a in pairs:
+        brow = base.table[x - 1]
+        frow = rule.f[a]
+        rows.append(tuple(
+            Q.pair_to_index(convention, n, brow[y - 1], frow[b]) for y, b in pairs))
+    return tuple(rows)
+
+
 def search_isomorphism_all_pairs(q1, q2):
     """The library's former _search_isomorphism, verbatim: propagation checks every
     ordered pair of assigned elements, each unordered pair twice.

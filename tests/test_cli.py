@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -503,6 +504,25 @@ def test_module_entry_point_matches_main(capsys):
                           capture_output=True, text=True, env=env, timeout=60)
     assert main(argv) == 3
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, capsys.readouterr().out, "")
+
+
+def test_package_imports_only_the_standard_library():
+    """Zero runtime dependencies: every import in the package is relative or from the standard
+    library, and importing the library does not load the CLI."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    for path in sorted((src / "quandles").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] in sys.stdlib_module_names, (path.name, node.lineno, name)
+    probe = f"import sys; sys.path.insert(0, {str(src)!r}); import quandles; print('quandles.cli' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 if __name__ == "__main__":

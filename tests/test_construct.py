@@ -3,9 +3,12 @@ import warnings
 import pytest
 
 import quandles as Q
+from conftest import product_by_definition
 
 RULE_A_TABLE = ((0, 0, 2), (1, 1, 0), (2, 2, 2))
 RULE_B_TABLE = ((0, 0, 0), (1, 1, 1), (2, 2, 1))
+
+CENSUS_BASES = [q for n in (3, 4, 5) for q in Q.census(n)]  # 32 bases
 
 
 class TestLiteralRules:
@@ -124,6 +127,20 @@ class TestConventions:
         with pytest.raises(ValueError):
             Q.pair_to_index("ya", 4, 1, 0)
 
+    @pytest.mark.parametrize("func, args, message", [
+        ("pair_to_index", ("ax", 3, 1, 5), r"pair \(1, 5\) is not in 1..3 x 0..2"),
+        ("pair_to_index", ("xa", 3, 4, 0), r"pair \(4, 0\) is not in 1..3 x 0..2"),
+        ("pair_to_index", ("xa", 3, True, 0), r"pair \(True, 0\) is not in 1..3 x 0..2"),
+        ("pair_to_index", ("xa", 3, 1, 1.0), r"pair \(1, 1.0\) is not in 1..3 x 0..2"),
+        ("index_to_pair", ("ax", 3, 0), "index 0 is not in 1..9"),
+        ("index_to_pair", ("xa", 3, 100), "index 100 is not in 1..9"),
+        ("index_to_pair", ("xa", 3, True), "index True is not in 1..9"),
+        ("index_to_pair", ("xa", 0, 1), "order must be >= 1, got 0"),
+    ])
+    def test_out_of_range_arguments_raise(self, func, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            getattr(Q, func)(*args)
+
 
 class TestProduct3:
     def test_q1_recomposition(self):
@@ -141,6 +158,13 @@ class TestProduct3:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             Q.product3(Q.trivial(3), Q.trivial_rule())
+
+    @pytest.mark.parametrize("conv", ["xa", "ax"])
+    def test_matches_definition_over_census(self, conv):
+        rules = Q.named_rules().values()  # the five valid rules and both literal case tables
+        for base in CENSUS_BASES:
+            for rule in rules:
+                assert Q.product3(base, rule, conv).table == product_by_definition(base, rule, conv)
 
     def test_valid_products_pass_axioms(self, battery):
         bases = [battery[k] for k in ("trivial3", "dihedral3", "dihedral4", "table1", "baseB")]
@@ -188,7 +212,7 @@ class TestDecompose3:
     @pytest.mark.parametrize("conv", ["xa", "ax"])
     def test_round_trip_over_battery(self, conv, battery):
         bases = [battery[k] for k in ("trivial3", "dihedral3", "dihedral4", "table1", "baseB")]
-        for base in bases:
+        for base in bases + CENSUS_BASES:
             for rule in Q.enumerate_phase_rules():
                 product = Q.product3(base, rule, conv)
                 result = Q.decompose3(product, conv)

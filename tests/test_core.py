@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import random
 from functools import cache
 from itertools import permutations, product
@@ -468,6 +470,21 @@ class TestGroupTable:
         with pytest.raises(ValueError, match=f"{what} must be >= 1, got True"):
             family(True)
 
+    @pytest.mark.parametrize("order, table, message", [
+        (2, ((1, 1), (1, 1)), "no identity element"),
+        (3, ((1,),), "shape mismatch: expected 3 rows, got 1"),
+        (1, [[1]], "table must be a tuple of row tuples"),
+    ])
+    def test_constructor_checks_the_group_laws(self, order, table, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Q.GroupTable(order, table)
+
+    def test_identity_and_inverses_are_read_off_the_table(self):
+        g = Q.GroupTable(3, ((2, 3, 1), (3, 1, 2), (1, 2, 3)))
+        assert (g.identity, g.inverses) == (3, (2, 1, 3))
+        with pytest.raises(TypeError):
+            Q.GroupTable(3, g.table, identity=1, inverses=(1, 3, 2))
+
     def test_symmetric_group_order(self):
         assert Q.symmetric_group(3).order == 6
 
@@ -543,6 +560,33 @@ class TestConjugation:
     def test_battery_passes_axioms(self, group_battery):
         for g in group_battery:
             assert Q.check_axioms(Q.conjugation(g)).overall, g.name
+
+
+class TestGroupTableDigests:
+    """sha256 of the compact JSON list of [name, table] over each family, recorded with the
+    hand-written index formulas that the group constructors used before the Cayley-table builder."""
+
+    DIGESTS = {
+        ("cyclic_group", "group"): "e7acfe02ba92aa7068ca55f904cfd6ab80f13488760f1b651c0665e33b3d8a85",
+        ("cyclic_group", "conjugation"): "158ec668bff287020c706cbea1e29bfd3ad2fc091f4d06a8214d7e3a1f5d11bb",
+        ("symmetric_group", "group"): "3087bb48169ee95e4267439bcaf0c55b81f90ba4ae88648f782d359f5be2174b",
+        ("symmetric_group", "conjugation"): "885cc098ebfcc26857815c03d4adf270e09dcff5516e73842043bfab6a714498",
+        ("dihedral_group", "group"): "9b2aee8b1909ad30b4a896aed2a12502196ef8d0fd85e7154fbbe9d81566d7ec",
+        ("dihedral_group", "conjugation"): "25edd92bd3d67d4ca6895d55f919a087482f15a77725e815dc94cad4caadbfff",
+        ("direct_product", "group"): "9b15ae2dd44511001213045cbe233b0c7d7b3ba302749dbf0e3892f6932495d1",
+        ("direct_product", "conjugation"): "7b425752ca8cb75ca01886a7c13c5099e327ab0ceb84e59dd39c031ea6e0824f",
+    }
+    SIZES = {"cyclic_group": range(1, 13), "symmetric_group": range(1, 6), "dihedral_group": range(1, 9)}
+
+    @pytest.mark.parametrize("family, kind", list(DIGESTS))
+    def test_tables_match_the_pinned_digest(self, family, kind, group_battery):
+        if family == "direct_product":  # every ordered pair of the battery
+            groups = [Q.direct_product(g, h) for g in group_battery for h in group_battery]
+        else:
+            groups = [getattr(Q, family)(k) for k in self.SIZES[family]]
+        tables = [Q.conjugation(g) if kind == "conjugation" else g for g in groups]
+        pinned = json.dumps([[t.name, t.table] for t in tables], separators=(",", ":"))
+        assert hashlib.sha256(pinned.encode()).hexdigest() == self.DIGESTS[family, kind]
 
 
 class TestAbelianGroupSpec:
