@@ -19,7 +19,7 @@ from .properties import (
     is_left_distributive,
 )
 
-CENSUS_CAP = 7
+CENSUS_CAP = 8
 
 
 def _spectrum(q: Quandle) -> tuple[tuple[int, int], ...]:
@@ -343,19 +343,103 @@ def _tables(n: int, reduced: bool = False) -> tuple[Quandle, ...]:
 
 
 def _least_relabeling(q: Quandle) -> Quandle:
-    """The lex-least relabeling of quandle q. Inn(q) lies in Aut(q) and moves each orbit's least
-    element anywhere in its orbit, so only those need label 1; the rest take 2..n in every order."""
+    """The lex-least relabeling of quandle q, by a pruned canonical-labeling search (McKay &
+    Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 2014).
+
+    Inn(q) lies in Aut(q) and moves each orbit's least element anywhere in its orbit, so only
+    those need label 1. Row 1 is x > old_j over j, for the x labeled 1; filling it column by
+    column places every label. At column j an unplaced old_j must give the cell its least value,
+    so only ties branch, and a row 1 above the best table's is cut. A labeling whose table
+    equals the best one gives an automorphism g. A candidate in the orbit of a tried one, under
+    the automorphisms found so far that fix every placed element, gives the same tables, and so
+    does the rest of the subtree where the labeling parts from the best one's (g maps onto it)."""
     n = q.order
     rows = [(), *((0, *row) for row in q.table)]  # rows[a][b] = a > b
-    best = ((n + 1,),)  # above every table
-    for orbit in q._orbits:
-        for rest in _permutations([e for e in range(1, n + 1) if e != orbit[0]]):
-            old = (orbit[0], *rest)  # old[i] is the element labeled i + 1
-            label = dict(zip(old, range(1, n + 1)))
-            relabeled = (tuple(map(label.__getitem__, map(rows[a].__getitem__, old))) for a in old)
-            first = next(relabeled)
-            if first <= best[0]:  # most relabelings are out at their first row
-                best = min(best, (first, *relabeled))
+    best: tuple[tuple[int, ...], ...] = ()
+    best_old: tuple[int, ...] = ()
+    autos: list[list[int]] = []  # g[a] for each automorphism g found, g[0] = 0
+    jump = n  # after an automorphism: how many placed elements the branch to resume holds
+    old: list[int] = []  # old[i] is the element labeled i + 1
+    label = [0] * (n + 1)
+
+    def in_tried_orbit(y: int, tried: list[int]) -> bool:
+        gens = [g for g in autos if all(g[e] == e for e in old)]
+        orbit, frontier = set(tried), list(tried)
+        while frontier:
+            e = frontier.pop()
+            for g in gens:
+                if g[e] not in orbit:
+                    orbit.add(g[e])
+                    frontier.append(g[e])
+        return y in orbit
+
+    def branch(candidates: list[int], j: int, tight: bool) -> None:
+        # tight: cells 1..j-1 of row 1 equal the best table's
+        nonlocal jump
+        tried: list[int] = []
+        for y in candidates:
+            if tried and autos and in_tried_orbit(y, tried):  # read lazily: autos grow
+                continue
+            tried.append(y)
+            old.append(y)
+            label[y] = j
+            before = best
+            extend(j, tight)
+            label[old.pop()] = 0
+            if jump < j - 1:
+                return
+            jump = n
+            tight = tight or best is not before  # a new best shares this row 1 prefix
+
+    def extend(j: int, tight: bool) -> None:
+        # cells 1..j-1 of row 1 are filled
+        nonlocal best, best_old, jump
+        mark = len(old)
+        x_row = rows[old[0]]
+        while j <= n:
+            if j > len(old):  # old_j is an unplaced y giving the least cell; x > y != y takes j + 1
+                value = {y: label[x_row[y]] or (j if x_row[y] == y else j + 1)
+                         for y in range(1, n + 1) if not label[y]}
+                least = min(value.values())
+                if tight and least > best[0][j - 1]:
+                    break
+                candidates = [y for y, v in value.items() if v == least]
+                if len(candidates) > 1:
+                    branch(candidates, j, tight)
+                    break
+                old.append(candidates[0])
+                label[candidates[0]] = j
+            e = x_row[old[j - 1]]  # the cell; an unlabeled x > old_j takes the next label
+            if not label[e]:
+                old.append(e)
+                label[e] = len(old)
+            if tight:
+                if label[e] > best[0][j - 1]:
+                    break
+                tight = label[e] == best[0][j - 1]
+            j += 1
+        else:
+            if not tight:  # row 1 is below the best one's
+                best, best_old = tuple(tuple(label[rows[a][b]] for b in old) for a in old), tuple(old)
+            else:  # row 1 equals the best one's: compare the rest, row by row
+                relabeled = (tuple(label[rows[a][b]] for b in old) for a in old[1:])
+                for i, row in enumerate(relabeled, start=1):
+                    if row != best[i]:
+                        if row < best[i]:
+                            best, best_old = (*best[:i], row, *relabeled), tuple(old)
+                        break
+                else:  # the same table: best_old[i] -> old[i] is an automorphism g
+                    g = [0] * (n + 1)
+                    for a, b in zip(best_old, old):
+                        g[a] = b
+                    autos.append(g)
+                    # g maps the finished subtree where best_old left this path onto the one
+                    # holding old, so the search resumes at the branch where they part
+                    jump = next(i for i, (a, b) in enumerate(zip(best_old, old)) if a != b)
+        while len(old) > mark:
+            label[old.pop()] = 0
+
+    branch([orbit[0] for orbit in q._orbits], 1, False)
     return _proven(Quandle(n, best))  # a relabeling of a quandle is one
 
 
@@ -372,8 +456,8 @@ def census(n: int) -> tuple[Quandle, ...]:
       h in G_k keeps columns 1..k-1 and turns R_k into h R_k h^-1, so R_k need only be the least of
       those conjugates. Minimizing column 1, 2, ... in turn keeps the columns before each one and
       every column's cycle type, so the member cut A picked reaches a table both cuts keep.
-    At n = 5 / 6 / 7 that leaves 32 / 161 / 1,065 tables; the least relabelings of the classes'
-    members are then most of the time."""
+    At n = 5 / 6 / 7 / 8 that leaves 32 / 161 / 1,065 / 8,915 tables; each class's lex-least
+    table is then found from one member (_least_relabeling)."""
     if type(n) is int and not 1 <= n <= CENSUS_CAP:  # _check_order rejects non-ints
         raise ValueError(f"census supports 1 <= n <= {CENSUS_CAP}, got {n}")
     _check_order(n)

@@ -294,6 +294,7 @@ def check_axioms(q: Quandle, witness_cap: int | None = DEFAULT_WITNESS_CAP) -> A
     (_generators_distribute); the lexicographic triple scan runs only when that
     fails or a column is not bijective, and supplies the witnesses.
     """
+    _check_quandle(q)
     if witness_cap is not None:
         _check_order(witness_cap, "witness_cap")
     n, t = q.order, q.table
@@ -511,6 +512,11 @@ def _generators_associate(t, identity: int) -> bool:
 def _check_group(g) -> None:
     if not isinstance(g, GroupTable):
         raise ValueError(f"expected a GroupTable, got {g!r}")
+
+
+def _check_quandle(q) -> None:
+    if not isinstance(q, Quandle):
+        raise ValueError(f"expected a Quandle, got {q!r}")
 
 
 def conjugation(g: GroupTable) -> Quandle:

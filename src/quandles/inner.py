@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import BudgetExceededError, Permutation, Quandle, _check_order, right_translation, translations
+from .core import BudgetExceededError, Permutation, Quandle, _check_order, _check_quandle, right_translation, translations
 
 DEFAULT_MATERIALIZE_CAP = 10**6
 
@@ -58,6 +58,7 @@ def inn_group(q: Quandle, materialize_cap: int = DEFAULT_MATERIALIZE_CAP) -> Per
     every R_y; any translation still missing is closed over after. Raises
     BudgetExceededError when the closure passes materialize_cap before completing.
     """
+    _check_quandle(q)
     _check_order(materialize_cap, "materialize_cap")
     trans = translations(q)
     gens = tuple(dict.fromkeys(trans))

@@ -15,6 +15,7 @@ from .core import (
     Quandle,
     _check_element,
     _check_order,
+    _check_quandle,
     _displacements,
     _distributivity_failures,
     affine,
@@ -23,7 +24,8 @@ from .core import (
 
 
 def ensure_quandle(q: Quandle) -> None:
-    """Reject tables that fail the axioms; the predicates below assume them."""
+    """Reject non-Quandles and tables that fail the axioms; the predicates below assume them."""
+    _check_quandle(q)
     if not q._axioms.overall:  # checked at most once per table object
         label = f"{q.name} " if q.name else ""
         raise NotAQuandleError(f"table {label}fails axioms: {q._axioms.summary()}")

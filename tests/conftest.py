@@ -229,6 +229,24 @@ def least_relabeling_by_brute_force(q):
     return min(relabel(q, Q.Permutation(p)).table for p in permutations(q.elements()))
 
 
+def least_relabeling_by_orbit_scan(q):
+    """The library's former _least_relabeling, verbatim: label 1 on each orbit's least element,
+    the rest in all (n-1)! orders. Inn(q) lies in Aut(q) and moves each orbit's least element
+    anywhere in its orbit, so only those need label 1."""
+    n = q.order
+    rows = [(), *((0, *row) for row in q.table)]  # rows[a][b] = a > b
+    best = ((n + 1,),)  # above every table
+    for orbit in q._orbits:
+        for rest in permutations([e for e in range(1, n + 1) if e != orbit[0]]):
+            old = (orbit[0], *rest)  # old[i] is the element labeled i + 1
+            label = dict(zip(old, range(1, n + 1)))
+            relabeled = (tuple(map(label.__getitem__, map(rows[a].__getitem__, old))) for a in old)
+            first = next(relabeled)
+            if first <= best[0]:  # most relabelings are out at their first row
+                best = min(best, (first, *relabeled))
+    return Q.Quandle(n, best)
+
+
 def is_isomorphism(q1, q2, phi):
     """Check a mapping cell by cell: a bijection with phi(x>y) = phi(x)>phi(y)."""
     n = q1.order

@@ -8,8 +8,8 @@ import pytest
 import quandles as Q
 
 from conftest import (all_quandle_tables_by_columns, brute_isomorphic, census_by_labeled, derived_data_tables,
-                      is_isomorphism, kept_by_both_cuts, least_relabeling_by_brute_force, relabel,
-                      search_isomorphism_all_pairs)
+                      is_isomorphism, kept_by_both_cuts, least_relabeling_by_brute_force,
+                      least_relabeling_by_orbit_scan, relabel, search_isomorphism_all_pairs)
 import quandles.classify as classify_mod
 from quandles.classify import _STAGES
 
@@ -194,6 +194,38 @@ class TestClassifyFamily:
             Q.classify_family([Q.trivial(2), broken, Q.from_table(2, [[2, 2], [1, 1]])])
 
 
+def seeded_relabelings(q, rng, count):
+    """count relabelings of q by permutations drawn from rng."""
+    out = []
+    for _ in range(count):
+        images = list(q.elements())
+        rng.shuffle(images)
+        out.append(relabel(q, Q.Permutation(tuple(images))))
+    return out
+
+
+def census_digest(tables):
+    """sha256 of census tables as compact JSON."""
+    return hashlib.sha256(json.dumps(tables, separators=(",", ":")).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def census_7():
+    """census(7) and the reduced tables it enumerated, from one run: order 7 is the costliest
+    census the suite runs."""
+    enumerated = []
+    real = classify_mod._tables
+
+    def spy(n, reduced=False):
+        enumerated.append(real(n, reduced))
+        return enumerated[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify_mod, "_tables", spy)
+        reps = Q.census(7)
+    return reps, enumerated
+
+
 class TestCensus:
     def test_counts(self):
         assert len(Q.census(1)) == 1
@@ -232,23 +264,38 @@ class TestCensus:
         assert Q.census(n) == census_by_labeled(n)
 
     def test_order_6_digest(self):
-        # sha256 of the census(6) tables as compact JSON, computed once with census_by_labeled(6)
+        # the digest of the census(6) tables, computed once with census_by_labeled(6)
         tables = [q.table for q in Q.census(6)]
-        digest = hashlib.sha256(json.dumps(tables, separators=(",", ":")).encode()).hexdigest()
         assert len(tables) == 73
-        assert digest == "52563b290222032b81bab6bea04f39476f602e7d4030b5ca58b4084f4b3686fb"
+        assert census_digest(tables) == "52563b290222032b81bab6bea04f39476f602e7d4030b5ca58b4084f4b3686fb"
 
     def test_least_relabeling_matches_brute_force(self):
         rng = random.Random(13)
         for n in range(1, 6):
             for q in Q.census(n):
-                tables = [q]
-                for _ in range(3):
-                    images = list(q.elements())
-                    rng.shuffle(images)
-                    tables.append(relabel(q, Q.Permutation(tuple(images))))
-                for t in tables:
+                for t in (q, *seeded_relabelings(q, rng, 3)):
                     assert classify_mod._least_relabeling(t).table == least_relabeling_by_brute_force(t)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_least_relabeling_matches_orbit_scan_on_census(self, n):
+        rng = random.Random(2400 + n)
+        for q in Q.census(n):
+            for t in (q, *seeded_relabelings(q, rng, 3)):
+                assert classify_mod._least_relabeling(t).table == least_relabeling_by_orbit_scan(t).table
+
+    def test_least_relabeling_matches_orbit_scan_on_order_7_sample(self, census_7):
+        rng = random.Random(2407)
+        for q in rng.sample(census_7[0], 40):
+            t = seeded_relabelings(q, rng, 1)[0]
+            assert classify_mod._least_relabeling(t).table == least_relabeling_by_orbit_scan(t).table == q.table
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_least_relabeling_matches_orbit_scan_on_trivial_and_dihedral(self, n):
+        # large automorphism groups: without the automorphism cut, trivial(n) visits (n-1)! labelings
+        rng = random.Random(2410 + n)
+        for q in (Q.trivial(n), Q.dihedral(n)):
+            for t in (q, *seeded_relabelings(q, rng, 3)):
+                assert classify_mod._least_relabeling(t).table == least_relabeling_by_orbit_scan(t).table
 
     @pytest.mark.parametrize("n, count", [(1, 1), (2, 1), (3, 3), (4, 7), (5, 32)])
     def test_reduced_tables_meet_every_class(self, n, count):
@@ -265,11 +312,14 @@ class TestCensus:
         kept = tuple(q for q in Q.all_quandle_tables(n) if kept_by_both_cuts(q))
         assert classify_mod._tables(n, reduced=True) == kept
 
-    def test_reduced_counts_at_orders_6_and_7(self):
+    def test_reduced_counts_at_orders_6_and_7(self, census_7):
         assert len(classify_mod._tables(6, reduced=True)) == 161
-        reduced = classify_mod._tables(7, reduced=True)
-        assert len(reduced) == 1065
-        assert len(classify_mod._keyed_classes(reduced)) == 298  # OEIS A181771
+        reps, enumerated = census_7
+        assert [len(tables) for tables in enumerated] == [1065]
+        tables = [q.table for q in reps]
+        assert len(tables) == 298  # OEIS A181771
+        # the digest of the census(7) tables when the cap was raised to 7, before the pruned relabeling
+        assert census_digest(tables) == "9261ef298f1150c618cf75bb2a8a42d30869c2a1d5c106f46d833cbf8b31482d"
 
     def test_census_does_not_enumerate_every_labeled_table(self, monkeypatch):
         calls = []
@@ -294,7 +344,7 @@ class TestCensus:
 
     def test_out_of_cap(self):
         with pytest.raises(ValueError):
-            Q.census(8)
+            Q.census(9)
         with pytest.raises(ValueError):
             Q.census(0)
 

@@ -3,7 +3,7 @@ import warnings
 import pytest
 
 import quandles as Q
-from conftest import product_by_definition
+from conftest import medial_by_scan, orbits_by_union_find, product_by_definition
 
 RULE_A_TABLE = ((0, 0, 2), (1, 1, 0), (2, 2, 2))
 RULE_B_TABLE = ((0, 0, 0), (1, 1, 1), (2, 2, 1))
@@ -281,6 +281,17 @@ class TestAuditTransfer:
             Q.audit_transfer(broken, Q.trivial_rule())
         assert str(err.value) == ("base fails axioms: right invertibility fails at column y=1"
                                   " (rows 1,2 collide)")
+
+    @pytest.mark.parametrize("conv", ["xa", "ax"])
+    def test_products_of_census_bases_against_oracles(self, conv):
+        # the audit marks its product as passing the axioms (core._proven); a fresh copy is checked
+        for base in CENSUS_BASES:
+            for rule in Q.enumerate_phase_rules():
+                report = Q.audit_transfer(base, rule, conv, alexander_budget=3 * base.order)
+                fresh = Q.Quandle(report.product.order, report.product.table)
+                assert Q.check_axioms(fresh).overall, (base.table, rule.name)
+                assert Q.is_abelian(fresh) == medial_by_scan(fresh) == report.record("abelian").holds_on_product
+                assert Q.orbits(fresh) == orbits_by_union_find(fresh)
 
     def test_claims_are_iff(self):
         report = Q.audit_transfer(Q.trivial(3), Q.dihedral_rule())

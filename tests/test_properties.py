@@ -444,3 +444,17 @@ class TestAffineBattery:
                     assert w == alexander_by_scan(q), (g.cyclic_factors, t.images)
                     assert w.reproduces(q)
                     assert Q.is_abelian(q)
+
+
+class TestNonQuandleArguments:
+    @pytest.mark.parametrize("func, args, message", [
+        ("classify_family", ([1],), "expected a Quandle, got 1"),
+        ("invariant_profile", ("x",), "expected a Quandle, got 'x'"),
+        ("are_isomorphic", (Q.trivial(2), 3), "expected a Quandle, got 3"),
+        ("is_abelian", (3,), "expected a Quandle, got 3"),
+        ("check_axioms", (3,), "expected a Quandle, got 3"),
+        ("inn_group", (3,), "expected a Quandle, got 3"),
+    ])
+    def test_rejected_with_value_error(self, func, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            getattr(Q, func)(*args)
