@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import permutations as _permutations
 from operator import eq
 
@@ -220,6 +220,7 @@ def are_isomorphic(q1: Quandle, q2: Quandle) -> IsoResult:
 class IsoClass:
     representative: Quandle
     members: tuple[int, ...]
+    profile: InvariantProfile = field(compare=False)  # its members' invariant profile
 
 
 def classify_family(qs) -> tuple[IsoClass, ...]:
@@ -231,25 +232,19 @@ def classify_family(qs) -> tuple[IsoClass, ...]:
     table; classes are sorted by (profile key, representative table), so the
     output is stable under permuting the input.
     """
-    return tuple(c for _, c in _keyed_classes(tuple(qs)))
-
-
-def _keyed_classes(qs: tuple[Quandle, ...]) -> list[tuple[tuple, IsoClass]]:
-    """(profile sort key, class) for each class of classify_family(qs), in its order."""
-    profiles = [invariant_profile(q) for q in qs]
+    qs = tuple(qs)
     buckets: dict[InvariantProfile, list[list[int]]] = {}
     for i, q in enumerate(qs):
-        bucket = buckets.setdefault(profiles[i], [])
+        bucket = buckets.setdefault(invariant_profile(q), [])
         for members in bucket:
             if _search_isomorphism(qs[members[0]], q) is not None:
                 members.append(i)
                 break
         else:
             bucket.append([i])
-    classes = [(profile.sort_key(), IsoClass(representative=min((qs[i] for i in m), key=lambda q: q.table),
-                                             members=tuple(m)))
+    classes = [IsoClass(min((qs[i] for i in m), key=lambda q: q.table), tuple(m), profile)
                for profile, bucket in buckets.items() for m in bucket]
-    return sorted(classes, key=lambda kc: (kc[0], kc[1].representative.table))
+    return tuple(sorted(classes, key=lambda c: (c.profile.sort_key(), c.representative.table)))
 
 
 def _conjugate_below(c: tuple[int, ...], group) -> bool:
@@ -311,8 +306,7 @@ def _tables(n: int, reduced: bool = False) -> tuple[Quandle, ...]:
     def rec(k: int, candidates, group) -> None:
         # group: the non-identity h of G_{k+1}, each as (h with a 0 in front, h^-1); see census
         if k == n:
-            rows = tuple(tuple(cols[y][x] for y in range(n)) for x in range(n))
-            out.append(_proven(Quandle(n, rows)))  # the columns and consistent() proved it
+            out.append(_proven(Quandle(n, tuple(zip(*cols)))))  # the columns and consistent() proved it
             return
         if k and group:  # G_{k+1} = G_k ∩ Stab(k+1) ∩ C(R_k)
             r = cols[-1]
@@ -461,6 +455,6 @@ def census(n: int) -> tuple[Quandle, ...]:
     if type(n) is int and not 1 <= n <= CENSUS_CAP:  # _check_order rejects non-ints
         raise ValueError(f"census supports 1 <= n <= {CENSUS_CAP}, got {n}")
     _check_order(n)
-    classes = _keyed_classes(_tables(n, reduced=True))
-    reps = [(key, _least_relabeling(c.representative)) for key, c in classes]
+    reps = [(c.profile.sort_key(), _least_relabeling(c.representative))
+            for c in classify_family(_tables(n, reduced=True))]
     return tuple(rep for _, rep in sorted(reps, key=lambda kr: (kr[0], kr[1].table)))

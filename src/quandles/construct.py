@@ -21,6 +21,7 @@ from .core import (
     NotAQuandleError,
     Quandle,
     _check_order,
+    _check_quandle,
     _proven,
     check_axioms,
 )
@@ -206,6 +207,7 @@ def product3(base: Quandle, rule: PhaseRule, convention: Convention = "xa") -> Q
     products can be audited. Base orders below 3 are accepted with a warning,
     since the construction is stated for n >= 3.
     """
+    _check_quandle(base)
     if base.order < 3:
         warnings.warn(
             f"product base has order {base.order}; the construction is stated for n >= 3",
@@ -221,6 +223,7 @@ def decompose3(q: Quandle, convention: Convention = "xa"):
     rule off the x=y=1 block; an exact recomposition check then decides.
     Round trip: decompose3(product3(B, f, c), c) == (B, f).
     """
+    _check_quandle(q)
     if q.order % 3:
         raise ValueError(f"order {q.order} is not divisible by 3")
     n = q.order // 3
@@ -295,6 +298,7 @@ def audit_transfer(base: Quandle, rule: PhaseRule, convention: Convention = "xa"
     rule_report = validate_rule(rule, witness_cap=1)
     if not rule_report.overall:
         raise NotAQuandleError(f"phase rule fails axioms: {rule_report.summary()}")
+    _check_quandle(base)
     if not base._axioms.overall:
         raise NotAQuandleError(f"base fails axioms: {base._axioms.summary()}")
 

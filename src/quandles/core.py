@@ -396,6 +396,7 @@ def _distributivity_failures(t):
 
 
 def _check_element(q: Quandle, v: int, argname: str) -> None:
+    _check_quandle(q)
     if type(v) is not int or not 1 <= v <= q.order:
         raise ValueError(f"{argname}={v!r} out of range 1..{q.order}")
 
@@ -427,6 +428,7 @@ def right_translation(q: Quandle, y: int) -> Permutation:
 @lru_cache(maxsize=None)
 def translations(q: Quandle) -> tuple[Permutation, ...]:
     """All right translations R_1..R_n; raises NotAQuandleError on a non-bijective column."""
+    _check_quandle(q)
     return tuple(Permutation(col) if len(set(col)) == q.order else right_translation(q, y)
                  for y, col in enumerate(zip(*q.table), start=1))
 
@@ -440,10 +442,7 @@ def trivial(n: int) -> Quandle:
 def dihedral(n: int) -> Quandle:
     """x > y = 2y - x on Z_n, shifted to {1..n}."""
     _check_order(n)
-    rows = tuple(
-        tuple((2 * (y - 1) - (x - 1)) % n + 1 for y in range(1, n + 1))
-        for x in range(1, n + 1))
-    return Quandle(n, rows, name=f"dihedral({n})")
+    return Quandle(n, _cayley(range(n), lambda x, y: (2 * y - x) % n), name=f"dihedral({n})")
 
 
 @dataclass(frozen=True, repr=False)
@@ -522,11 +521,8 @@ def _check_quandle(q) -> None:
 def conjugation(g: GroupTable) -> Quandle:
     """The conjugation quandle of a group: x > y = y^-1 x y."""
     _check_group(g)
-    n = g.order
-    rows = tuple(
-        tuple(g.mul(g.mul(g.inv(y), x), y) for y in range(1, n + 1))
-        for x in range(1, n + 1))
-    return Quandle(n, rows, name=f"conj({g.name})" if g.name else None)
+    rows = _cayley(range(1, g.order + 1), lambda x, y: g.mul(g.mul(g.inv(y), x), y))
+    return Quandle(g.order, rows, name=f"conj({g.name})" if g.name else None)
 
 
 def _cayley(elements, product) -> tuple[tuple[int, ...], ...]:
@@ -544,7 +540,7 @@ def cyclic_group(n: int) -> GroupTable:
 def symmetric_group(m: int) -> GroupTable:
     """S_m on m letters; elements ordered lexicographically by image tuple. Desk scale only."""
     _check_order(m, "degree")
-    elements = sorted(_permutations(range(1, m + 1)))
+    elements = list(_permutations(range(1, m + 1)))  # generated in lexicographic order
     return GroupTable.from_table(_cayley(elements, lambda p, q: tuple(p[i - 1] for i in q)), name=f"S{m}")
 
 

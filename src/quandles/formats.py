@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 
 from .construct import PhaseRule
-from .core import Quandle
+from .core import Quandle, _check_quandle
 
 
 class TableFormatError(ValueError):
@@ -111,6 +111,7 @@ def parse_table(text: str) -> Quandle:
 
 
 def emit_table(q: Quandle) -> str:
+    _check_quandle(q)
     w = len(str(q.order))
     lines = [f"quandle {q.order}"]
     for row in q.table:
@@ -119,6 +120,7 @@ def emit_table(q: Quandle) -> str:
 
 
 def table_obj(q: Quandle) -> dict:
+    _check_quandle(q)
     obj = {"order": q.order, "table": [list(row) for row in q.table]}
     if q.name:
         obj["name"] = q.name

@@ -88,6 +88,7 @@ def _closure(elements: set, frontier: list, gens: list, cap: int) -> None:
 
 def orbits(q: Quandle) -> tuple[tuple[int, ...], ...]:
     """Orbits of the translation group, each ascending, sorted by least element."""
+    _check_quandle(q)
     for y, col in enumerate(zip(*q.table), start=1):
         if len(set(col)) < q.order:  # entries lie in 1..n, so the column is not a bijection
             right_translation(q, y)  # raises NotAQuandleError naming the repeat

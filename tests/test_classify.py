@@ -25,10 +25,10 @@ def classify_pairwise(qs):
                 break
         else:
             groups.append([i])
-    classes = [Q.IsoClass(representative=min((qs[i] for i in m), key=lambda q: q.table),
-                          members=tuple(m)) for m in groups]
-    classes.sort(key=lambda c: (Q.invariant_profile(c.representative).sort_key(),
-                                c.representative.table))
+    reps = [min((qs[i] for i in m), key=lambda q: q.table) for m in groups]
+    classes = [Q.IsoClass(representative=rep, members=tuple(m), profile=Q.invariant_profile(rep))
+               for rep, m in zip(reps, groups)]
+    classes.sort(key=lambda c: (c.profile.sort_key(), c.representative.table))
     return tuple(classes)
 
 
@@ -178,6 +178,12 @@ class TestClassifyFamily:
     def test_matches_pairwise_oracle_on_labeled_tables(self, n):
         tables = Q.all_quandle_tables(n)
         assert Q.classify_family(tables) == classify_pairwise(tables)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_class_profile_is_each_members_profile(self, n):
+        tables = Q.all_quandle_tables(n)
+        for c in Q.classify_family(tables):
+            assert all(Q.invariant_profile(tables[i]) == c.profile for i in c.members)
 
     def test_profile_computed_once_per_input(self, monkeypatch):
         seen = []

@@ -299,3 +299,21 @@ class TestAuditTransfer:
         assert [rec.property for rec in report.records] == [
             "involutory", "conjugate identities", "left-distributive",
             "abelian", "alexander", "connected"]
+
+
+class TestProductClasses:
+    def test_products_of_census_bases(self):
+        # per base, the 5 valid rules x both conventions fall into the same three classes; across
+        # the bases of one order no two bases share a class, except at n = 3, where B x f ≅ f x B
+        rules = Q.enumerate_phase_rules()
+        swaps = ("swap01", "swap02", "swap12") * 2
+        expected = sorted([("trivial", "trivial"), tuple(sorted(swaps)), ("dihedral", "dihedral")])
+        for n, count, total in ((3, 30, 6), (4, 70, 21), (5, 220, 66)):
+            products = []
+            for base in (b for b in CENSUS_BASES if b.order == n):
+                labeled = [(rule.name, Q.product3(base, rule, conv)) for conv in ("xa", "ax") for rule in rules]
+                classes = Q.classify_family(q for _, q in labeled)
+                assert sorted(tuple(sorted(labeled[i][0] for i in c.members)) for c in classes) == expected
+                products += [q for _, q in labeled]
+            assert len(products) == count
+            assert len(Q.classify_family(products)) == total

@@ -564,7 +564,8 @@ class TestConjugation:
 
 class TestGroupTableDigests:
     """sha256 of the compact JSON list of [name, table] over each family, recorded with the
-    hand-written index formulas that the group constructors used before the Cayley-table builder."""
+    hand-written index formulas that the group constructors and dihedral used before the
+    Cayley-table builder."""
 
     DIGESTS = {
         ("cyclic_group", "group"): "e7acfe02ba92aa7068ca55f904cfd6ab80f13488760f1b651c0665e33b3d8a85",
@@ -587,6 +588,11 @@ class TestGroupTableDigests:
         tables = [Q.conjugation(g) if kind == "conjugation" else g for g in groups]
         pinned = json.dumps([[t.name, t.table] for t in tables], separators=(",", ":"))
         assert hashlib.sha256(pinned.encode()).hexdigest() == self.DIGESTS[family, kind]
+
+    def test_dihedral_quandles_match_the_pinned_digest(self):
+        pinned = json.dumps([[q.name, q.table] for q in map(Q.dihedral, range(1, 61))], separators=(",", ":"))
+        assert hashlib.sha256(pinned.encode()).hexdigest() == (
+            "b3bdaabd66ea9d2bfbd0ea378109a0ce82fc39419ccfdad1e8249d5688d74caa")
 
 
 class TestAbelianGroupSpec:

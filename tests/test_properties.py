@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 import warnings
@@ -447,14 +448,48 @@ class TestAffineBattery:
 
 
 class TestNonQuandleArguments:
-    @pytest.mark.parametrize("func, args, message", [
+    CASES = [
         ("classify_family", ([1],), "expected a Quandle, got 1"),
         ("invariant_profile", ("x",), "expected a Quandle, got 'x'"),
         ("are_isomorphic", (Q.trivial(2), 3), "expected a Quandle, got 3"),
         ("is_abelian", (3,), "expected a Quandle, got 3"),
         ("check_axioms", (3,), "expected a Quandle, got 3"),
         ("inn_group", (3,), "expected a Quandle, got 3"),
-    ])
+        ("audit_transfer", (3, Q.dihedral_rule()), "expected a Quandle, got 3"),
+        ("product3", (3, Q.dihedral_rule()), "expected a Quandle, got 3"),
+        ("decompose3", (3,), "expected a Quandle, got 3"),
+        ("orbits", (3,), "expected a Quandle, got 3"),
+        ("inner_structure", (3,), "expected a Quandle, got 3"),
+        ("translations", (3,), "expected a Quandle, got 3"),
+        ("apply", (3, 1, 1), "expected a Quandle, got 3"),
+        ("dual_apply", (3, 1, 1), "expected a Quandle, got 3"),
+        ("right_translation", (3, 1), "expected a Quandle, got 3"),
+        ("centralizer", (3, 1), "expected a Quandle, got 3"),
+        ("emit_table", (3,), "expected a Quandle, got 3"),
+        ("emit_table_json", (3,), "expected a Quandle, got 3"),
+        ("ensure_quandle", (3,), "expected a Quandle, got 3"),
+        ("is_involutory", (3,), "expected a Quandle, got 3"),
+        ("is_left_distributive", (3,), "expected a Quandle, got 3"),
+        ("is_connected", (3,), "expected a Quandle, got 3"),
+        ("is_cyclic_type", (3,), "expected a Quandle, got 3"),
+        ("conjugate_identities", (3,), "expected a Quandle, got 3"),
+        ("alexander_recognize", (3,), "expected a Quandle, got 3"),
+    ]
+
+    @pytest.mark.parametrize("func, args, message", CASES)
     def test_rejected_with_value_error(self, func, args, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             getattr(Q, func)(*args)
+
+    def test_every_public_function_taking_a_quandle_is_covered(self):
+        """A public function whose first parameter is a Quandle must be among CASES, so one that
+        skips the check fails here."""
+        def takes_quandle(f):
+            params = list(inspect.signature(f).parameters.values())
+            return bool(params) and params[0].annotation in ("Quandle", Q.Quandle)
+
+        public = {name: f for name, f in vars(Q).items()
+                  if not name.startswith("_") and callable(f) and not inspect.isclass(f)}
+        taking = {name for name, f in public.items() if takes_quandle(f)}
+        assert len(taking) >= 24  # the introspection still finds them
+        assert taking <= {func for func, _, _ in self.CASES}
