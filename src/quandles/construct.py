@@ -57,6 +57,11 @@ class PhaseRule:
         return Quandle(3, rows, name=self.name)
 
 
+def _check_rule(rule) -> None:
+    if not isinstance(rule, PhaseRule):
+        raise ValueError(f"expected a PhaseRule, got {rule!r}")
+
+
 def rule_from_table(rows, name=None) -> PhaseRule:
     return PhaseRule(tuple(tuple(row) for row in rows), name=name)
 
@@ -143,6 +148,7 @@ def _to_phases(verdict: AxiomVerdict) -> AxiomVerdict:
 def validate_rule(rule: PhaseRule, witness_cap: int | None = DEFAULT_WITNESS_CAP) -> AxiomReport:
     """Run the table axiom checker on (Z_3, f); witnesses come back in phase
     coordinates 0..2 rather than the 1-based element coding."""
+    _check_rule(rule)
     report = check_axioms(rule.to_quandle(), witness_cap=witness_cap)
     return replace(report, **{name: _to_phases(getattr(report, name)) for name, *_ in _AXIOM_LAYOUT})
 
@@ -208,6 +214,7 @@ def product3(base: Quandle, rule: PhaseRule, convention: Convention = "xa") -> Q
     since the construction is stated for n >= 3.
     """
     _check_quandle(base)
+    _check_rule(rule)
     if base.order < 3:
         warnings.warn(
             f"product base has order {base.order}; the construction is stated for n >= 3",
@@ -234,11 +241,8 @@ def decompose3(q: Quandle, convention: Convention = "xa"):
 
     base_rows = tuple(tuple(cell((x, 0), (y, 0))[0] for y in range(1, n + 1)) for x in range(1, n + 1))
     f = tuple(tuple(cell((1, a), (1, b))[1] for b in PHASES) for a in PHASES)
-    try:
-        base = Quandle(n, base_rows)
-        rule = PhaseRule(f, name=_match_rule_name(f))
-    except ValueError:
-        return None
+    base = Quandle(n, base_rows)  # cells lie in 1..n and phases in 0..2 by construction
+    rule = PhaseRule(f, name=_match_rule_name(f))
     if _product_table(base, rule, convention) != q.table:
         return None
     return base, rule

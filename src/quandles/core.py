@@ -180,6 +180,12 @@ class Quandle:
         return tuple(types)
 
     @cached_property
+    def _translations(self) -> tuple[Permutation, ...]:
+        """R_1..R_n (see translations); raises NotAQuandleError on a non-bijective column."""
+        return tuple(Permutation(col) if len(set(col)) == self.order else right_translation(self, y)
+                     for y, col in enumerate(zip(*self.table), start=1))
+
+    @cached_property
     def _medial(self) -> bool:
         """The medial verdict (see _is_medial); meaningful once the axioms hold."""
         return _is_medial(self)
@@ -315,14 +321,13 @@ def check_axioms(q: Quandle, witness_cap: int | None = DEFAULT_WITNESS_CAP) -> A
     )
 
 
-def _first_repeat(col) -> tuple[int, int, int] | None:
-    """(a, b, v) for the least 1-based row b whose value v already sat at row a, else None."""
+def _first_repeat(col) -> tuple[int, int, int]:
+    """(a, b, v) for the least 1-based row b whose value v already sat at row a; col has a repeat."""
     seen: dict[int, int] = {}
     for b, v in enumerate(col, start=1):
         a = seen.setdefault(v, b)
         if a != b:
             return a, b, v
-    return None
 
 
 def _columns(q: Quandle) -> list[tuple[int, ...]]:
@@ -425,12 +430,12 @@ def right_translation(q: Quandle, y: int) -> Permutation:
         raise NotAQuandleError(f"column {y} is not a bijection: rows {a} and {b} both map to {v}") from None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=0)  # caches nothing; kept only because perfbench reads translations.cache_info()
 def translations(q: Quandle) -> tuple[Permutation, ...]:
-    """All right translations R_1..R_n; raises NotAQuandleError on a non-bijective column."""
+    """All right translations R_1..R_n, computed once per table object and kept on it;
+    raises NotAQuandleError on a non-bijective column."""
     _check_quandle(q)
-    return tuple(Permutation(col) if len(set(col)) == q.order else right_translation(q, y)
-                 for y, col in enumerate(zip(*q.table), start=1))
+    return q._translations
 
 
 def trivial(n: int) -> Quandle:
@@ -640,11 +645,15 @@ class AbelianGroupSpec:
         return full if len(set(full)) == len(full) else None
 
 
+def _check_abelian(group) -> None:
+    if not isinstance(group, AbelianGroupSpec):
+        raise ValueError(f"group must be an AbelianGroupSpec, got {group!r}")
+
+
 def validate_automorphism(group: AbelianGroupSpec, t: Permutation) -> None:
     """Raise unless t is additive: its images of the canonical generators have orders
     dividing their factors, and the additive map they define is t."""
-    if not isinstance(group, AbelianGroupSpec):
-        raise ValueError(f"group must be an AbelianGroupSpec, got {group!r}")
+    _check_abelian(group)
     if not isinstance(t, Permutation):
         raise ValueError(f"automorphism must be a Permutation, got {t!r}")
     fs = group.cyclic_factors
@@ -662,6 +671,7 @@ def automorphism_from_images(group: AbelianGroupSpec, images) -> Permutation:
     incompatible order (the extension would not be additive) or the extended
     map is not bijective.
     """
+    _check_abelian(group)
     factors = group.cyclic_factors
     if not isinstance(images, (tuple, list)) or len(images) != len(factors):
         raise ValueError(f"expected a tuple or list of {len(factors)} generator images, got {images!r}")
@@ -677,6 +687,7 @@ def automorphism_from_images(group: AbelianGroupSpec, images) -> Permutation:
 
 def scalar_automorphism(group: AbelianGroupSpec, r: int) -> Permutation:
     """x -> r*x; raises when r is not an int or not a unit for the group."""
+    _check_abelian(group)
     images = tuple(group.scale(r, i) for i in range(1, group.order + 1))
     try:
         return Permutation(images)
@@ -685,6 +696,7 @@ def scalar_automorphism(group: AbelianGroupSpec, r: int) -> Permutation:
 
 
 def identity_automorphism(group: AbelianGroupSpec) -> Permutation:
+    _check_abelian(group)
     return Permutation.identity(group.order)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .construct import PhaseRule
+from .construct import PhaseRule, _check_rule
 from .core import Quandle, _check_quandle
 
 
@@ -137,6 +137,7 @@ def parse_phase_text(text: str) -> PhaseRule:
 
 
 def emit_phase(rule: PhaseRule) -> str:
+    _check_rule(rule)
     lines = ["phase"]
     for row in rule.f:
         lines.append(" ".join(str(v) for v in row))
@@ -144,6 +145,7 @@ def emit_phase(rule: PhaseRule) -> str:
 
 
 def phase_obj(rule: PhaseRule) -> dict:
+    _check_rule(rule)
     obj = {"table": [list(row) for row in rule.f]}
     if rule.name:
         obj["name"] = rule.name

@@ -13,6 +13,7 @@ from .core import (
     NotAQuandleError,
     Permutation,
     Quandle,
+    _check_abelian,
     _check_element,
     _check_order,
     _check_quandle,
@@ -105,6 +106,7 @@ def abelian_group_specs(n: int) -> tuple[AbelianGroupSpec, ...]:
 def enumerate_automorphisms(group: AbelianGroupSpec):
     """Yield (permutation, generator_images) for every automorphism, in
     lexicographic order of the image tuple."""
+    _check_abelian(group)
     candidates = [tuple(g for g in range(1, group.order + 1) if f % group.order_of(g) == 0)
                   for f in group.cyclic_factors]
     for images in _cartesian(*candidates):

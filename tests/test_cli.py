@@ -525,6 +525,22 @@ def test_package_imports_only_the_standard_library():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
+def test_no_module_level_memo():
+    """Derived data lives on the table objects, so the package keeps no functools cache of its own;
+    the one exception is the zero-size cache on core.translations, which stores nothing."""
+    src = Path(__file__).resolve().parent.parent / "src" / "quandles"
+    caches = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for dec in node.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                    if name in ("lru_cache", "cache"):
+                        caches.append((path.name, node.name, ast.unparse(dec)))
+    assert caches == [("core.py", "translations", "lru_cache(maxsize=0)")]
+
+
 if __name__ == "__main__":
     import tempfile
 

@@ -228,6 +228,10 @@ class TestAuditTransfer:
         rec = report.record("involutory")
         assert rec.holds_on_base and rec.holds_on_product and rec.agrees
 
+    def test_unknown_property_is_a_key_error(self):
+        with pytest.raises(KeyError, match="no such property"):
+            Q.audit_transfer(Q.TABLE1, Q.trivial_rule()).record("no such property")
+
     def test_connectivity_disagreement_flagged(self):
         report = Q.audit_transfer(Q.dihedral(3), Q.trivial_rule())
         rec = report.record("connected")

@@ -435,6 +435,14 @@ class TestRightTranslation:
         with pytest.raises(Q.NotAQuandleError, match="rows 1 and 2"):
             Q.right_translation(q, 1)
 
+    def test_translations_live_on_the_table(self):
+        """One tuple per table object, none kept by the function: its zero-size cache stores nothing."""
+        q, fresh = Q.dihedral(7), Q.dihedral(7)
+        assert Q.translations(q) is Q.translations(q) is q._translations
+        assert Q.translations(fresh) == Q.translations(q) and Q.translations(fresh) is not Q.translations(q)
+        assert Q.translations(q) == tuple(Q.right_translation(q, y) for y in q.elements())
+        assert Q.translations.cache_info().currsize == 0
+
 
 class TestGroupTable:
     def test_rejects_non_associative(self):
@@ -448,6 +456,10 @@ class TestGroupTable:
         ]
         with pytest.raises(ValueError, match="not associative"):
             Q.GroupTable.from_table(loop)
+
+    def test_rejects_missing_inverse(self):
+        with pytest.raises(ValueError, match="^element 2 has no inverse$"):
+            Q.GroupTable.from_table(((1, 2), (2, 2)))
 
     def test_rejects_missing_identity(self):
         with pytest.raises(ValueError, match="identity"):
@@ -708,6 +720,10 @@ class TestAffine:
         g = Q.AbelianGroupSpec((3,))
         with pytest.raises(ValueError, match=r"^automorphism must be a Permutation, got \(1, 3, 2\)$"):
             Q.validate_automorphism(g, (1, 3, 2))
+
+    def test_degree_must_match_the_group_order(self):
+        with pytest.raises(ValueError, match="^map degree 2 does not match group order 3$"):
+            Q.validate_automorphism(Q.AbelianGroupSpec((3,)), Q.Permutation((1, 2)))
 
     def test_factor_tuple_rejected_as_group(self):
         with pytest.raises(ValueError, match=r"^group must be an AbelianGroupSpec, got \(3,\)$"):

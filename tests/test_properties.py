@@ -1,6 +1,9 @@
+import ast
+import functools
 import inspect
 import math
 import random
+import re
 import warnings
 from itertools import permutations
 
@@ -448,6 +451,9 @@ class TestAffineBattery:
 
 
 class TestNonQuandleArguments:
+    """Every public function rejects a wrong-typed Quandle, PhaseRule or AbelianGroupSpec argument
+    with a ValueError naming the expected type and the argument."""
+
     CASES = [
         ("classify_family", ([1],), "expected a Quandle, got 1"),
         ("invariant_profile", ("x",), "expected a Quandle, got 'x'"),
@@ -474,22 +480,62 @@ class TestNonQuandleArguments:
         ("is_cyclic_type", (3,), "expected a Quandle, got 3"),
         ("conjugate_identities", (3,), "expected a Quandle, got 3"),
         ("alexander_recognize", (3,), "expected a Quandle, got 3"),
+        ("product3", (Q.trivial(3), "trivial"), "expected a PhaseRule, got 'trivial'"),
+        ("audit_transfer", (Q.trivial(3), "trivial"), "expected a PhaseRule, got 'trivial'"),
+        ("validate_rule", ("x",), "expected a PhaseRule, got 'x'"),
+        ("is_valid_rule", ("x",), "expected a PhaseRule, got 'x'"),
+        ("emit_phase", ("x",), "expected a PhaseRule, got 'x'"),
+        ("formats.phase_obj", ("x",), "expected a PhaseRule, got 'x'"),
+        ("validate_automorphism", ("x", Q.Permutation((1,))), "group must be an AbelianGroupSpec, got 'x'"),
+        ("automorphism_from_images", ("x", (1,)), "group must be an AbelianGroupSpec, got 'x'"),
+        ("scalar_automorphism", ("x", 1), "group must be an AbelianGroupSpec, got 'x'"),
+        ("identity_automorphism", ("x",), "group must be an AbelianGroupSpec, got 'x'"),
+        ("negation_automorphism", ("x",), "group must be an AbelianGroupSpec, got 'x'"),
+        ("enumerate_automorphisms", ("x",), "group must be an AbelianGroupSpec, got 'x'"),
+        ("affine", ("x", Q.Permutation((1,))), "group must be an AbelianGroupSpec, got 'x'"),
+        ("lemma_sum_check", ("x", Q.Permutation((1,))), "group must be an AbelianGroupSpec, got 'x'"),
     ]
+
+    @staticmethod
+    def call(func, args):
+        """Call func, a dotted name under quandles, with args, consuming a generator it returns."""
+        result = functools.reduce(getattr, func.split("."), Q)(*args)
+        if inspect.isgenerator(result):
+            list(result)
 
     @pytest.mark.parametrize("func, args, message", CASES)
     def test_rejected_with_value_error(self, func, args, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            getattr(Q, func)(*args)
+            self.call(func, args)
+
+    @pytest.mark.parametrize("bad", [3, [1]], ids=["int", "unhashable"])
+    @pytest.mark.parametrize("func, args, message", CASES)
+    def test_rejected_whatever_the_argument(self, func, args, message, bad):
+        """Each case again with its rejected argument, the value that message names, replaced by bad."""
+        head, _, named = message.rpartition("got ")
+        named = ast.literal_eval(named)
+
+        def swap(a):
+            if type(a) is type(named) and a == named:
+                return bad
+            return [swap(b) for b in a] if type(a) is list else a
+
+        with pytest.raises(ValueError, match=f"^{re.escape(head + 'got ' + repr(bad))}$"):
+            self.call(func, tuple(map(swap, args)))
 
     def test_every_public_function_taking_a_quandle_is_covered(self):
-        """A public function whose first parameter is a Quandle must be among CASES, so one that
-        skips the check fails here."""
-        def takes_quandle(f):
-            params = list(inspect.signature(f).parameters.values())
-            return bool(params) and params[0].annotation in ("Quandle", Q.Quandle)
+        """A public function with a parameter annotated Quandle, PhaseRule or AbelianGroupSpec, in any
+        position, must have a case for that type, so one that skips the check fails here."""
+        kinds = {"Quandle", "PhaseRule", "AbelianGroupSpec"}
+
+        def taken(f):
+            return {getattr(p.annotation, "__name__", p.annotation)
+                    for p in inspect.signature(f).parameters.values()} & kinds
 
         public = {name: f for name, f in vars(Q).items()
                   if not name.startswith("_") and callable(f) and not inspect.isclass(f)}
-        taking = {name for name, f in public.items() if takes_quandle(f)}
-        assert len(taking) >= 24  # the introspection still finds them
-        assert taking <= {func for func, _, _ in self.CASES}
+        public["formats.phase_obj"] = Q.formats.phase_obj  # not exported at the top level
+        taking = {(name, kind) for name, f in public.items() for kind in taken(f)}
+        assert len(taking) >= 38  # the introspection still finds them
+        covered = {(func, re.search(r"an? (\w+), got", message)[1]) for func, _, message in self.CASES}
+        assert taking <= covered
